@@ -148,6 +148,12 @@ def _cmd_convert(args) -> None:
     _emit(model_io.model_to_json(out_model), args.out)
 
 
+_SV_METHOD_HELP = (
+    "auto (default): polynomial exact engine, O(N + m*2^m) on a table of N points, "
+    "O(|G|*m^2) on a tree or diagram of |G| nodes; brute|paths: reference loop over "
+    "all 2^m coalitions with the point-enumeration|path-counting cube sum")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="svaudit",
@@ -155,11 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "minimal adversarial analysis for discrete classifiers.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_model_instance(p, methods=None, default=None):
+    def with_model_instance(p, methods=None, default=None, method_help=None):
         p.add_argument("--model", required=True, help="model file (JSON)")
         p.add_argument("--instance", required=True, help="comma-separated feature values")
         if methods:
-            p.add_argument("--method", choices=methods, default=default)
+            p.add_argument("--method", choices=methods, default=default, help=method_help)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("explain", help="abductive/contrastive explanations and relevancy")
@@ -167,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_explain)
 
     p = sub.add_parser("shapley", help="exact Shapley values with efficiency residual")
-    with_model_instance(p, methods=("auto", "brute", "paths"), default="auto")
+    with_model_instance(p, methods=("auto", "brute", "paths"), default="auto",
+                        method_help=_SV_METHOD_HELP)
     p.set_defaults(fn=_cmd_shapley)
 
     p = sub.add_parser("adversarial", help="minimal l0 adversarial change-sets")
@@ -175,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_adversarial)
 
     p = sub.add_parser("validate", help="check the efficiency identity on an instance")
-    with_model_instance(p, methods=("auto", "brute", "paths"), default="auto")
+    with_model_instance(p, methods=("auto", "brute", "paths"), default="auto",
+                        method_help=_SV_METHOD_HELP)
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("scan", help="issue scan over feature space")

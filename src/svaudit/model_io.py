@@ -56,6 +56,11 @@ def model_to_json(model: Classifier) -> str:
     return json.dumps(model_to_dict(model), indent=2) + "\n"
 
 
+def _is_int(x) -> bool:
+    """JSON integers only: ``true``/``false`` load as bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _space_from_doc(doc) -> FeatureSpace:
     feats = doc.get("features")
     if not isinstance(feats, list) or not feats:
@@ -64,7 +69,7 @@ def _space_from_doc(doc) -> FeatureSpace:
     for k, f in enumerate(feats):
         if not isinstance(f, dict) or "domain" not in f:
             raise InputError(f"feature entry {k} needs a domain size")
-        if not isinstance(f["domain"], int):
+        if not _is_int(f["domain"]):
             raise InputError("domain sizes must be integers")
         names.append(str(f.get("name", f"x{k + 1}")))
         sizes.append(f["domain"])
@@ -73,7 +78,7 @@ def _space_from_doc(doc) -> FeatureSpace:
 
 def _check_classes(doc, used) -> None:
     declared = doc.get("classes")
-    if not isinstance(declared, list) or not all(isinstance(c, int) for c in declared):
+    if not isinstance(declared, list) or not all(_is_int(c) for c in declared):
         raise InputError('model file needs an integer "classes" list')
     extra = set(used) - set(declared)
     if extra:
@@ -94,7 +99,7 @@ def model_from_dict(doc) -> Classifier:
         return dt
     if kind == "omdd":
         order = doc.get("order")
-        if not isinstance(order, list) or not all(isinstance(f, int) for f in order):
+        if not isinstance(order, list) or not all(_is_int(f) for f in order):
             raise InputError('omdd model needs an integer "order" list')
         root = _graph_from_doc(doc, space, OmddNode, OmddTerminal)
         omdd = reduce_omdd(Omdd(space, tuple(f - 1 for f in order), root))
@@ -110,7 +115,7 @@ def _table_from_doc(doc, space) -> TabularClassifier:
     values = [None] * space.size
     for row in rows:
         if not isinstance(row, list) or len(row) != space.m + 1 \
-                or not all(isinstance(x, int) for x in row):
+                or not all(_is_int(x) for x in row):
             raise InputError(f"malformed table row {row!r}")
         point = space.validate_point(row[:-1])
         idx = space.index(point)
@@ -131,50 +136,69 @@ def _graph_from_doc(doc, space, node_cls, leaf_cls):
     if not isinstance(entries, list) or not entries:
         raise InputError('model needs a nonempty "nodes" list')
     by_id = {}
-    for e in entries:
+    for k, e in enumerate(entries):
         if not isinstance(e, dict) or "id" not in e:
             raise InputError(f"malformed node entry {e!r}")
+        if isinstance(e["id"], (list, dict)):
+            raise InputError(f"node entry {k} has id {e['id']!r}; ids must be numbers or strings")
         if e["id"] in by_id:
             raise InputError(f"duplicate node id {e['id']}")
         by_id[e["id"]] = e
 
-    building = set()
+    # Depth-first with an explicit stack, so long chains cannot exhaust the
+    # interpreter's recursion limit. A node is built once all its targets are.
     built = {}
-
-    def resolve(nid):
+    targets = {}  # expanded but not yet built: node id -> its edge list
+    stack = [entries[0]["id"]]
+    while stack:
+        nid = stack[-1]
         if nid in built:
-            return built[nid]
-        if nid in building:
-            raise InputError(f"cycle through node {nid}")
+            stack.pop()
+            continue
+        if nid in targets:
+            stack.pop()
+            e = by_id[nid]
+            edges = tuple((values, built[to]) for values, to in targets.pop(nid))
+            built[nid] = node_cls(e["feature"] - 1, edges)
+            continue
         if nid not in by_id:
             raise InputError(f"edge points to unknown node {nid}")
-        building.add(nid)
         e = by_id[nid]
         if "class" in e:
-            if not isinstance(e["class"], int):
+            if not _is_int(e["class"]):
                 raise InputError("leaf classes must be integers")
-            node = leaf_cls(e["class"])
-        else:
-            if "feature" not in e or not isinstance(e.get("edges"), list):
-                raise InputError(f"node {nid} needs a feature and an edge list")
-            f = e["feature"]
-            if not isinstance(f, int) or not 1 <= f <= space.m:
-                raise InputError(f"node {nid} tests unknown feature {f}")
-            edges = []
-            for edge in e["edges"]:
-                if not isinstance(edge, dict) or "to" not in edge:
-                    raise InputError(f"malformed edge on node {nid}")
-                values = edge.get("values")
-                if not isinstance(values, list) or not all(isinstance(x, int) for x in values):
-                    raise InputError(f"malformed edge on node {nid}")
-                edges.append((frozenset(values), resolve(edge["to"])))
-            node = node_cls(f - 1, tuple(edges))
-        building.discard(nid)
-        built[nid] = node
-        return node
+            built[nid] = leaf_cls(e["class"])
+            stack.pop()
+            continue
+        edges = _edges_of_entry(e, nid, space)
+        targets[nid] = edges
+        for _, to in reversed(edges):
+            if to in targets:
+                raise InputError(f"cycle through node {to}")
+            if to not in built:
+                stack.append(to)
+    return built[entries[0]["id"]]
 
-    root = resolve(entries[0]["id"])
-    return root
+
+def _edges_of_entry(e, nid, space) -> list:
+    """Checked ``(values, target id)`` pairs of an internal node entry."""
+    if "feature" not in e or not isinstance(e.get("edges"), list):
+        raise InputError(f"node {nid} needs a feature and an edge list")
+    f = e["feature"]
+    if not _is_int(f) or not 1 <= f <= space.m:
+        raise InputError(f"node {nid} tests unknown feature {f}")
+    edges = []
+    for edge in e["edges"]:
+        if not isinstance(edge, dict) or "to" not in edge:
+            raise InputError(f"malformed edge on node {nid}")
+        values = edge.get("values")
+        if not isinstance(values, list) or not all(_is_int(x) for x in values):
+            raise InputError(f"malformed edge on node {nid}")
+        if isinstance(edge["to"], (list, dict)):
+            raise InputError(
+                f"edge on node {nid} points to {edge['to']!r}; ids must be numbers or strings")
+        edges.append((frozenset(values), edge["to"]))
+    return edges
 
 
 def model_to_dict(model: Classifier) -> dict:

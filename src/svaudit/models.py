@@ -239,21 +239,24 @@ class Omdd:
             raise InputError(f"order {self.order} is not a permutation of the features")
         pos = {f: k for k, f in enumerate(self.order)}
         classes = set()
-        seen = {}
+        seen = set()
 
-        def walk(node):
-            key = id(node)
-            if key in seen:
-                return seen[key]
+        def walk(node, above):
+            # the order is checked before descending, so recursion stays
+            # within m levels however long a malformed chain is
             if isinstance(node, OmddTerminal):
                 classes.add(int(node.class_value))
-                seen[key] = self.space.m
-                return self.space.m
+                return
             if not isinstance(node, OmddNode):
                 raise InputError(f"unexpected node object {node!r}")
             f = node.feature
             if not 0 <= f < self.space.m:
                 raise InputError(f"node tests unknown feature {f}")
+            if pos[f] <= above:
+                raise InputError("edge does not advance in the variable order")
+            if id(node) in seen:
+                return
+            seen.add(id(node))
             domain = set(range(self.space.domain_sizes[f]))
             covered = set()
             for values, child in node.edges:
@@ -264,14 +267,11 @@ class Omdd:
                 if values & covered:
                     raise InputError(f"overlapping edge labels at feature {f + 1}")
                 covered |= values
-                if walk(child) <= pos[f]:
-                    raise InputError("edge does not advance in the variable order")
+                walk(child, pos[f])
             if covered != domain:
                 raise InputError(f"edges of feature {f + 1} do not cover its domain")
-            seen[key] = pos[f]
-            return pos[f]
 
-        walk(self.root)
+        walk(self.root, -1)
         if len(classes) < 2:
             raise InputError("classifier is constant; at least two classes must occur")
 

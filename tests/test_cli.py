@@ -1,6 +1,9 @@
 """The command surface: artifacts, exit codes, API/CLI byte equality."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -201,3 +204,40 @@ def test_convert_rejects_bad_order(capsys, k1_path):
                "--order", "0,1,2")[0] == 2
     assert run(capsys, "convert", "--model", k1_path, "--to", "omdd",
                "--order", "a,b,c")[0] == 2
+
+
+def _chain_doc(kind):
+    n = 5000  # deeper than the interpreter's recursion limit
+    nodes = [{"id": k, "feature": 1, "edges": [{"values": [0], "to": k + 1},
+                                               {"values": [1], "to": n + 1}]}
+             for k in range(n)]
+    nodes += [{"id": n, "class": 0}, {"id": n + 1, "class": 1}]
+    doc = {"type": kind, "features": [{"name": "x1", "domain": 2}],
+           "classes": [0, 1], "nodes": nodes}
+    if kind == "omdd":
+        doc["order"] = [1]
+    return doc
+
+
+MALFORMED_MODELS = {
+    "dt chain": _chain_doc("dt"),
+    "omdd chain": _chain_doc("omdd"),
+    "list id": {"type": "dt", "features": [{"name": "x1", "domain": 2}], "classes": [0, 1],
+                "nodes": [{"id": [0], "class": 0}]},
+    "boolean row": {"type": "table", "features": [{"name": "x1", "domain": 2}],
+                    "classes": [0, 1], "rows": [[0, 0], [True, 1]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_MODELS))
+def test_malformed_model_exits_1_without_traceback(tmp_path, name):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(MALFORMED_MODELS[name]), encoding="utf-8")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "svaudit.cli", "explain", "--model", str(path),
+                           "--instance", "0"], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("svaudit: ")

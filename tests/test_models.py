@@ -389,3 +389,70 @@ def test_model_io_rejects_malformed_edge_shapes():
     }
     with pytest.raises(InputError):  # order must be integer feature indices
         model_from_dict(omdd)
+
+
+def _one_feature_docs():
+    table = {"type": "table", "features": [{"name": "x1", "domain": 2}],
+             "classes": [0, 1], "rows": [[0, 0], [1, 1]]}
+    dt = {"type": "dt", "features": [{"name": "x1", "domain": 2}], "classes": [0, 1],
+          "nodes": [{"id": 0, "feature": 1, "edges": [{"values": [0], "to": 1},
+                                                      {"values": [1], "to": 2}]},
+                    {"id": 1, "class": 0}, {"id": 2, "class": 1}]}
+    return table, dt, dict(dt, type="omdd", order=[1])
+
+
+@pytest.mark.parametrize("site", ["row value", "row class", "classes", "domain", "order",
+                                  "feature", "edge values", "leaf class"])
+def test_model_io_rejects_json_booleans(site):
+    table, dt, omdd = _one_feature_docs()
+    for doc in (table, dt, omdd):
+        model_from_dict(json.loads(json.dumps(doc)))
+    doc = {"row value": table, "row class": table, "classes": dt, "domain": dt,
+           "order": omdd}.get(site, dt)
+    doc = json.loads(json.dumps(doc))
+    if site == "row value":
+        doc["rows"][1][0] = True
+    elif site == "row class":
+        doc["rows"][1][1] = True
+    elif site == "classes":
+        doc["classes"] = [0, True]
+    elif site == "domain":
+        doc["features"][0]["domain"] = True
+    elif site == "order":
+        doc["order"] = [True]
+    elif site == "feature":
+        doc["nodes"][0]["feature"] = True
+    elif site == "edge values":
+        doc["nodes"][0]["edges"][1]["values"] = [True]
+    else:
+        doc["nodes"][2]["class"] = True
+    with pytest.raises(InputError):
+        model_from_dict(doc)
+
+
+def test_model_io_rejects_unhashable_node_ids():
+    _, dt, _ = _one_feature_docs()
+    for bad in ([0], {"n": 0}):
+        doc = json.loads(json.dumps(dt))
+        doc["nodes"][0]["id"] = bad
+        with pytest.raises(InputError, match="node entry 0"):
+            model_from_dict(doc)
+        doc = json.loads(json.dumps(dt))
+        doc["nodes"][0]["edges"][0]["to"] = bad
+        with pytest.raises(InputError, match="node 0"):
+            model_from_dict(doc)
+
+
+def test_model_io_resolves_long_chains_without_recursion():
+    # a chain far deeper than the interpreter's recursion limit
+    n = 5000
+    nodes = [{"id": k, "feature": 1, "edges": [{"values": [0], "to": k + 1},
+                                               {"values": [1], "to": n + 1}]}
+             for k in range(n)]
+    nodes += [{"id": n, "class": 0}, {"id": n + 1, "class": 1}]
+    doc = {"type": "dt", "features": [{"name": "x1", "domain": 2}],
+           "classes": [0, 1], "nodes": nodes}
+    with pytest.raises(InputError, match="tested twice"):
+        model_from_dict(doc)
+    with pytest.raises(InputError, match="does not advance"):
+        model_from_dict(dict(doc, type="omdd", order=[1]))

@@ -8,7 +8,19 @@ import pytest
 
 from oracle import o_shapley, random_dt, random_problem, random_table
 from svaudit.errors import CapacityError
-from svaudit.models import ExplanationProblem, FeatureSpace, TabularClassifier
+from svaudit.model_io import model_from_dict
+from svaudit.models import (
+    DecisionTree,
+    DTLeaf,
+    DTNode,
+    ExplanationProblem,
+    FeatureSpace,
+    Omdd,
+    OmddNode,
+    OmddTerminal,
+    TabularClassifier,
+    tabular_to_omdd,
+)
 from svaudit.rat import dec_str, rat_str
 from svaudit.shapley import phi, shapley_values, validate_efficiency, varsigma
 
@@ -191,3 +203,109 @@ def test_backend_equivalence_on_omdds():
         omdd_report = shapley_values(ExplanationProblem.of(omdd, v), backend="paths")
         assert omdd_report.values == table_report.values
         assert omdd_report.residual == 0
+
+
+def _shift_leaves(node, delta):
+    if isinstance(node, DTLeaf):
+        return DTLeaf(node.class_value + delta)
+    return DTNode(node.feature, tuple((E, _shift_leaves(ch, delta)) for E, ch in node.edges))
+
+
+def test_polynomial_engine_matches_reference_loop_and_oracle():
+    # tables, trees and OMDDs under random orders; domains 2-4, classes -3..3
+    rng = random.Random(79)
+    for _ in range(45):
+        m = rng.randint(1, 6)
+        space = FeatureSpace(tuple(rng.randint(2, 4) for _ in range(m)))
+        while space.size > 1200:
+            space = FeatureSpace(space.domain_sizes[:-1])
+            m -= 1
+        table = random_table(rng, space=space, classes=7)
+        table = TabularClassifier(space, tuple(c - 3 for c in table.values))
+        order = list(range(m))
+        rng.shuffle(order)
+        v = tuple(rng.randrange(d) for d in space.domain_sizes)
+
+        expected = shapley_values(ExplanationProblem.of(table, v), backend="enumerate")
+        models = [table, tabular_to_omdd(table, order)]
+        dt = random_dt(rng, space, classes=5)
+        models.append(DecisionTree(space, _shift_leaves(dt.root, -2)))
+        for model in models:
+            problem = ExplanationProblem.of(model, v)
+            report = shapley_values(problem)
+            reference = "enumerate" if model is table else "paths"
+            assert report == shapley_values(problem, backend=reference)
+            assert report.residual == 0
+            if m <= 4:
+                assert report.values == o_shapley(model.evaluate, space.domain_sizes, v)
+        assert shapley_values(ExplanationProblem.of(models[1], v)) == expected
+
+
+def test_polynomial_engine_unfolds_shared_tree_nodes():
+    # a tree file may point two edges at one node id; the subtree is then
+    # shared in memory although its paths test different features
+    doc = {
+        "type": "dt",
+        "features": [{"name": f"x{i}", "domain": d} for i, d in enumerate((2, 3, 2), 1)],
+        "classes": [-1, 0, 4],
+        "nodes": [
+            {"id": 0, "feature": 1, "edges": [{"values": [0], "to": 1},
+                                              {"values": [1], "to": 2}]},
+            {"id": 1, "feature": 2, "edges": [{"values": [0, 2], "to": 2},
+                                              {"values": [1], "to": 5}]},
+            {"id": 2, "feature": 3, "edges": [{"values": [0], "to": 3},
+                                              {"values": [1], "to": 4}]},
+            {"id": 3, "class": -1}, {"id": 4, "class": 4}, {"id": 5, "class": 0},
+        ],
+    }
+    dt = model_from_dict(doc)
+    for v in dt.space.points():
+        problem = ExplanationProblem.of(dt, v)
+        report = shapley_values(problem)
+        assert report == shapley_values(problem, backend="paths")
+        assert report.values == o_shapley(dt.evaluate, dt.space.domain_sizes, v)
+
+
+def test_default_engine_calls_phi_once(monkeypatch, k2_problem):
+    import svaudit.shapley as shapley
+    calls = []
+    original = shapley.phi
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(shapley, "phi", counting)
+    shapley.shapley_values(k2_problem)
+    assert calls == [frozenset()]
+    calls.clear()
+    shapley.shapley_values(k2_problem, backend="enumerate")
+    assert len(calls) == 1 << k2_problem.m
+
+
+def _k_of_n_omdd(n, k):
+    """[x1 + ... + xn >= k] over binary features, one node per (layer, ones)."""
+    one, zero = OmddTerminal(1), OmddTerminal(0)
+    below = {}
+    for p in reversed(range(n)):
+        layer = {}
+        for c in range(k):
+            if c + (n - p) < k:
+                continue
+            hi = one if c + 1 == k else below[c + 1]
+            lo = zero if c + (n - p - 1) < k else below[c]
+            layer[c] = OmddNode(p, ((frozenset({0}), lo), (frozenset({1}), hi)))
+        below = layer
+    return Omdd(FeatureSpace((2,) * n), tuple(range(n)), below[0])
+
+
+def test_polynomial_engine_at_twenty_features():
+    # out of reach of the 2^m loop; symmetry fixes every value
+    omdd = _k_of_n_omdd(20, 10)
+    assert omdd.nonterminal_count() == 11 * 10
+    problem = ExplanationProblem.of(omdd, (1,) * 20)
+    report = shapley_values(problem)
+    phi_empty = F(sum(comb(20, j) for j in range(10, 21)), 1 << 20)
+    assert report.phi_empty == phi_empty
+    assert report.values == ((1 - phi_empty) / 20,) * 20
+    assert report.residual == 0
