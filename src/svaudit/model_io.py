@@ -15,8 +15,10 @@ Layout (integers only, bit-exact):
   leaves like ``{"id": 3, "class": 2}``; the first listed node is the root;
 * omdd body -- dt body plus ``"order": [1, 2, 3]``.
 
-Feature indices in files are 1-based; loaded OMDDs are canonicalized with
-``reduce_omdd`` so the in-memory diagram is always reduced.
+Integers are checked with ``type(x) is int``: JSON ``true``/``false`` load as
+``bool``, a subclass of ``int``, and are rejected. Feature indices in files
+are 1-based; loaded OMDDs are canonicalized with ``reduce_omdd`` so the
+in-memory diagram is always reduced.
 """
 
 from __future__ import annotations
@@ -56,11 +58,6 @@ def model_to_json(model: Classifier) -> str:
     return json.dumps(model_to_dict(model), indent=2) + "\n"
 
 
-def _is_int(x) -> bool:
-    """JSON integers only: ``true``/``false`` load as bool, a subclass of int."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _space_from_doc(doc) -> FeatureSpace:
     feats = doc.get("features")
     if not isinstance(feats, list) or not feats:
@@ -69,7 +66,7 @@ def _space_from_doc(doc) -> FeatureSpace:
     for k, f in enumerate(feats):
         if not isinstance(f, dict) or "domain" not in f:
             raise InputError(f"feature entry {k} needs a domain size")
-        if not _is_int(f["domain"]):
+        if type(f["domain"]) is not int:
             raise InputError("domain sizes must be integers")
         names.append(str(f.get("name", f"x{k + 1}")))
         sizes.append(f["domain"])
@@ -78,7 +75,7 @@ def _space_from_doc(doc) -> FeatureSpace:
 
 def _check_classes(doc, used) -> None:
     declared = doc.get("classes")
-    if not isinstance(declared, list) or not all(_is_int(c) for c in declared):
+    if not isinstance(declared, list) or not all(type(c) is int for c in declared):
         raise InputError('model file needs an integer "classes" list')
     extra = set(used) - set(declared)
     if extra:
@@ -99,7 +96,7 @@ def model_from_dict(doc) -> Classifier:
         return dt
     if kind == "omdd":
         order = doc.get("order")
-        if not isinstance(order, list) or not all(_is_int(f) for f in order):
+        if not isinstance(order, list) or not all(type(f) is int for f in order):
             raise InputError('omdd model needs an integer "order" list')
         root = _graph_from_doc(doc, space, OmddNode, OmddTerminal)
         omdd = reduce_omdd(Omdd(space, tuple(f - 1 for f in order), root))
@@ -115,7 +112,7 @@ def _table_from_doc(doc, space) -> TabularClassifier:
     values = [None] * space.size
     for row in rows:
         if not isinstance(row, list) or len(row) != space.m + 1 \
-                or not all(_is_int(x) for x in row):
+                or not all(type(x) is int for x in row):
             raise InputError(f"malformed table row {row!r}")
         point = space.validate_point(row[:-1])
         idx = space.index(point)
@@ -146,33 +143,31 @@ def _graph_from_doc(doc, space, node_cls, leaf_cls):
         by_id[e["id"]] = e
 
     # Depth-first with an explicit stack, so long chains cannot exhaust the
-    # interpreter's recursion limit. A node is built once all its targets are.
+    # interpreter's recursion limit. An expanded node goes back on the stack
+    # beneath its targets and is built once they are.
     built = {}
     targets = {}  # expanded but not yet built: node id -> its edge list
     stack = [entries[0]["id"]]
     while stack:
-        nid = stack[-1]
+        nid = stack.pop()
         if nid in built:
-            stack.pop()
             continue
-        if nid in targets:
-            stack.pop()
-            e = by_id[nid]
-            edges = tuple((values, built[to]) for values, to in targets.pop(nid))
-            built[nid] = node_cls(e["feature"] - 1, edges)
+        edges = targets.pop(nid, None)
+        if edges is not None:
+            built[nid] = node_cls(by_id[nid]["feature"] - 1,
+                                  tuple([(values, built[to]) for values, to in edges]))
             continue
         if nid not in by_id:
             raise InputError(f"edge points to unknown node {nid}")
         e = by_id[nid]
         if "class" in e:
-            if not _is_int(e["class"]):
+            if type(e["class"]) is not int:
                 raise InputError("leaf classes must be integers")
             built[nid] = leaf_cls(e["class"])
-            stack.pop()
             continue
-        edges = _edges_of_entry(e, nid, space)
-        targets[nid] = edges
-        for _, to in reversed(edges):
+        edges = targets[nid] = _edges_of_entry(e, nid, space)
+        stack.append(nid)
+        for _, to in edges:
             if to in targets:
                 raise InputError(f"cycle through node {to}")
             if to not in built:
@@ -185,14 +180,14 @@ def _edges_of_entry(e, nid, space) -> list:
     if "feature" not in e or not isinstance(e.get("edges"), list):
         raise InputError(f"node {nid} needs a feature and an edge list")
     f = e["feature"]
-    if not _is_int(f) or not 1 <= f <= space.m:
+    if type(f) is not int or not 1 <= f <= space.m:
         raise InputError(f"node {nid} tests unknown feature {f}")
     edges = []
     for edge in e["edges"]:
         if not isinstance(edge, dict) or "to" not in edge:
             raise InputError(f"malformed edge on node {nid}")
         values = edge.get("values")
-        if not isinstance(values, list) or not all(_is_int(x) for x in values):
+        if not isinstance(values, list) or not all(type(x) is int for x in values):
             raise InputError(f"malformed edge on node {nid}")
         if isinstance(edge["to"], (list, dict)):
             raise InputError(

@@ -184,6 +184,12 @@ def _table_grades(table: TabularClassifier, v) -> list[list[int]]:
 _ONE = (1,)
 
 
+def _free_layers(width: int, gap: int):
+    """width * (1 + z)^gap: ``gap`` free features whose domain sizes multiply
+    to ``width``."""
+    return _ONE if gap == 0 else tuple(width * comb(gap, k) for k in range(gap + 1))
+
+
 def _omdd_graph(omdd: Omdd, v):
     sizes, order, m = omdd.space.domain_sizes, omdd.order, omdd.space.m
     pos = {f: k for k, f in enumerate(order)}
@@ -197,9 +203,7 @@ def _omdd_graph(omdd: Omdd, v):
     def skip(p, q):
         # layers strictly between positions p and q
         if (p, q) not in skips:
-            gap = q - p - 1
-            width = prod(layer_d[p + 1:q])
-            skips[p, q] = _ONE if gap == 0 else tuple(width * comb(gap, k) for k in range(gap + 1))
+            skips[p, q] = _free_layers(prod(layer_d[p + 1:q]), q - p - 1)
         return skips[p, q]
 
     reached = {id(omdd.root): omdd.root}
@@ -228,32 +232,26 @@ def _omdd_graph(omdd: Omdd, v):
 
 def _tree_graph(dt, v):
     # Each path is unfolded on its own (a loaded tree may share subtrees),
-    # so the features a path never tests are known at its leaf.
+    # so the features a path never tests are known at its leaf. Nodes are
+    # numbered breadth-first, so a child's position is known when queued.
     sizes = dt.space.domain_sizes
     m, total = len(sizes), prod(sizes)
     nodes = []
-    stack = [(dt.root, 0, 1, None)]  # node, depth, product of tested d_j, parent slot
-    while stack:
-        node, depth, tested, slot = stack.pop()
-        k = len(nodes)
-        if slot is not None:
-            slot[3] = k
+    queue = [(dt.root, 0, 1)]  # node, depth, product of the tested d_j
+    for node, depth, tested in queue:
         if isinstance(node, DTLeaf):
             nodes.append((None, node.class_value))
             continue
         f = node.feature
-        edges = []
-        nodes.append((f, edges))
         below = tested * sizes[f]
+        edges = []
         for E, child in node.edges:
+            step = _ONE
             if isinstance(child, DTLeaf):
-                gap = m - depth - 1
-                step = tuple(total // below * comb(gap, j) for j in range(gap + 1))
-            else:
-                step = _ONE
-            edge = [len(E), sizes[f] if v[f] in E else 0, step, None]
-            edges.append(edge)
-            stack.append((child, depth + 1, below, edge))
+                step = _free_layers(total // below, m - depth - 1)
+            edges.append((len(E), sizes[f] if v[f] in E else 0, step, len(queue)))
+            queue.append((child, depth + 1, below))
+        nodes.append((f, edges))
     return nodes, _ONE
 
 
@@ -279,7 +277,7 @@ def _graph_grades(nodes, root_top, m: int) -> list[list[int]]:
 
     grades = [[0] * m for _ in range(m)]
     top = [None] * count
-    top[0] = list(root_top)
+    top[0] = root_top
     for k, (f, edges) in enumerate(nodes):
         if f is None:
             continue
