@@ -41,7 +41,7 @@ from .models import (
 )
 from .rat import rat_json, rat_str
 
-# Coalition iteration is O(2^m); refuse beyond this many features.
+# Every engine refuses more features than this (the reference loop is O(2^m)).
 COALITION_CAP = 24
 
 
