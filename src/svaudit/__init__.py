@@ -42,6 +42,8 @@ from .models import (
     DTNode,
     ExplanationProblem,
     FeatureSpace,
+    Leaf,
+    Node,
     Omdd,
     OmddNode,
     OmddTerminal,

@@ -36,20 +36,25 @@ def hamming(x, y) -> int:
     return sum(1 for a, b in zip(x, y) if a != b)
 
 
+def _points_changed_on(problem: ExplanationProblem, feats):
+    """Points differing from the instance on exactly ``feats`` (a sorted
+    sequence), in lexicographic order."""
+    v = problem.point
+    axes = [[x for x in range(problem.space.domain_sizes[i]) if x != v[i]] for i in feats]
+    for combo in itertools.product(*axes):
+        x = list(v)
+        for i, val in zip(feats, combo):
+            x[i] = val
+        yield tuple(x)
+
+
 def find_witness(problem: ExplanationProblem, A):
     """Lexicographically smallest point differing from the instance on exactly
     the features of A and flipping the class, or None."""
     A = problem.space.validate_subset(A)
     if not A:
         return None
-    v = problem.point
-    feats = sorted(A)
-    axes = [[x for x in range(problem.space.domain_sizes[i]) if x != v[i]] for i in feats]
-    for combo in itertools.product(*axes):
-        x = list(v)
-        for i, val in zip(feats, combo):
-            x[i] = val
-        x = tuple(x)
+    for x in _points_changed_on(problem, sorted(A)):
         c = problem.model.evaluate(x)
         if c != problem.predicted:
             return AdversarialSet(A, x, c)
@@ -81,16 +86,14 @@ def min_l0_distance(problem: ExplanationProblem):
     A witness always exists: the classifier is non-constant, so some point
     disagrees with the predicted class and its change-set has size <= m.
     """
-    v = problem.point
     for k in range(1, problem.m + 1):
         hits = []
-        for x in problem.space.points():
-            if hamming(x, v) != k:
-                continue
-            c = problem.model.evaluate(x)
-            if c != problem.predicted:
-                changed = frozenset(i for i in range(problem.m) if x[i] != v[i])
-                hits.append(AdversarialSet(changed, x, c))
+        for feats in itertools.combinations(range(problem.m), k):
+            changed = frozenset(feats)
+            for x in _points_changed_on(problem, feats):
+                c = problem.model.evaluate(x)
+                if c != problem.predicted:
+                    hits.append(AdversarialSet(changed, x, c))
         if hits:
             return k, tuple(sorted(hits, key=lambda a: a.witness))
     raise AssertionError("non-constant classifier must admit an adversarial example")

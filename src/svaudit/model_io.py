@@ -12,7 +12,8 @@ Layout (integers only, bit-exact):
 * table body -- ``"rows": [[x1, ..., xm, class], ...]`` (must be complete);
 * dt body -- ``"nodes": [...]`` where internal nodes look like
   ``{"id": 0, "feature": 1, "edges": [{"values": [0, 1], "to": 3}]}`` and
-  leaves like ``{"id": 3, "class": 2}``; the first listed node is the root;
+  leaves like ``{"id": 3, "class": 2}``; the first listed node is the root,
+  and edges may share a target as long as every path stays read-once;
 * omdd body -- dt body plus ``"order": [1, 2, 3]``.
 
 Integers are checked with ``type(x) is int``: JSON ``true``/``false`` load as
@@ -29,12 +30,10 @@ from .errors import InputError
 from .models import (
     Classifier,
     DecisionTree,
-    DTLeaf,
-    DTNode,
     FeatureSpace,
+    Leaf,
+    Node,
     Omdd,
-    OmddNode,
-    OmddTerminal,
     TabularClassifier,
     reduce_omdd,
 )
@@ -90,15 +89,14 @@ def model_from_dict(doc) -> Classifier:
     if kind == "table":
         return _table_from_doc(doc, space)
     if kind == "dt":
-        root = _graph_from_doc(doc, space, DTNode, DTLeaf)
-        dt = DecisionTree(space, root)
+        dt = DecisionTree(space, _graph_from_doc(doc, space))
         _check_classes(doc, dt.class_values())
         return dt
     if kind == "omdd":
         order = doc.get("order")
         if not isinstance(order, list) or not all(type(f) is int for f in order):
             raise InputError('omdd model needs an integer "order" list')
-        root = _graph_from_doc(doc, space, OmddNode, OmddTerminal)
+        root = _graph_from_doc(doc, space)
         omdd = reduce_omdd(Omdd(space, tuple(f - 1 for f in order), root))
         _check_classes(doc, omdd.class_values())
         return omdd
@@ -128,7 +126,7 @@ def _table_from_doc(doc, space) -> TabularClassifier:
     return table
 
 
-def _graph_from_doc(doc, space, node_cls, leaf_cls):
+def _graph_from_doc(doc, space):
     entries = doc.get("nodes")
     if not isinstance(entries, list) or not entries:
         raise InputError('model needs a nonempty "nodes" list')
@@ -154,8 +152,8 @@ def _graph_from_doc(doc, space, node_cls, leaf_cls):
             continue
         edges = targets.pop(nid, None)
         if edges is not None:
-            built[nid] = node_cls(by_id[nid]["feature"] - 1,
-                                  tuple([(values, built[to]) for values, to in edges]))
+            built[nid] = Node(by_id[nid]["feature"] - 1,
+                              tuple([(values, built[to]) for values, to in edges]))
             continue
         if nid not in by_id:
             raise InputError(f"edge points to unknown node {nid}")
@@ -163,7 +161,7 @@ def _graph_from_doc(doc, space, node_cls, leaf_cls):
         if "class" in e:
             if type(e["class"]) is not int:
                 raise InputError("leaf classes must be integers")
-            built[nid] = leaf_cls(e["class"])
+            built[nid] = Leaf(e["class"])
             continue
         edges = targets[nid] = _edges_of_entry(e, nid, space)
         stack.append(nid)
@@ -210,34 +208,34 @@ def model_to_dict(model: Classifier) -> dict:
         return doc
     if isinstance(model, DecisionTree):
         doc["type"] = "dt"
-        doc["nodes"] = _graph_to_entries(model.root, DTLeaf)
-        return doc
-    if isinstance(model, Omdd):
+    elif isinstance(model, Omdd):
         doc["type"] = "omdd"
         doc["order"] = [f + 1 for f in model.order]
-        doc["nodes"] = _graph_to_entries(model.root, OmddTerminal)
-        return doc
-    raise InputError(f"cannot serialize {type(model).__name__}")
+    else:
+        raise InputError(f"cannot serialize {type(model).__name__}")
+    doc["nodes"] = _graph_to_entries(model.nodes)
+    return doc
 
 
-def _graph_to_entries(root, leaf_cls) -> list:
+def _graph_to_entries(nodes) -> list:
+    """Node entries numbered in preorder from the root, edges by smallest value."""
     ids = {}
     entries = []
 
-    def visit(node):
-        if id(node) in ids:
-            return ids[id(node)]
-        nid = len(ids)
-        ids[id(node)] = nid
+    def visit(k):
+        if k in ids:
+            return ids[k]
+        nid = ids[k] = len(ids)
         entry = {"id": nid}
         entries.append(entry)
-        if isinstance(node, leaf_cls):
-            entry["class"] = node.class_value
+        f, edges = nodes[k]
+        if f is None:
+            entry["class"] = edges
         else:
-            entry["feature"] = node.feature + 1
-            edges = sorted(node.edges, key=lambda e: min(e[0]))
+            entry["feature"] = f + 1
+            edges = sorted(edges, key=lambda e: min(e[0]))
             entry["edges"] = [{"values": sorted(vs), "to": visit(ch)} for vs, ch in edges]
         return nid
 
-    visit(root)
+    visit(len(nodes) - 1)
     return entries

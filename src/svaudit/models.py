@@ -5,8 +5,13 @@ Three total-function representations over a common discrete feature space:
 * ``TabularClassifier`` -- an explicit complete truth table;
 * ``DecisionTree`` -- internal nodes test one feature, edges carry disjoint
   value sets covering the domain, each feature tested at most once per path;
-* ``Omdd`` -- ordered multi-valued decision diagram: a layered DAG with
-  deterministic set-labelled edges and one terminal per class value.
+* ``Omdd`` -- ordered multi-valued decision diagram: a decision graph whose
+  paths test features in one variable order.
+
+Trees and diagrams share one read-once graph core: one ``Node`` and one
+``Leaf`` type, one construction walk that stores the distinct nodes children
+first, and one pass per computation over that list. A tree may share
+subtrees, so every cost is polynomial in the node count, not the path count.
 
 All structures are immutable after construction and safe to share across
 concurrent readers. Features are 0-based internally; classes are plain ints
@@ -16,7 +21,7 @@ concurrent readers. Features are 0-based internally; classes are plain ints
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 from typing import Iterator, Optional, Union
 
@@ -137,179 +142,161 @@ class TabularClassifier:
 
 
 @dataclass(frozen=True)
-class DTLeaf:
+class Leaf:
     class_value: int
 
 
 @dataclass(frozen=True)
-class DTNode:
+class Node:
+    """Tests one feature; each edge carries the set of values that follow it."""
+
     feature: int
-    edges: tuple[tuple[frozenset[int], Union["DTNode", DTLeaf]], ...]
+    edges: tuple[tuple[frozenset[int], Union["Node", Leaf]], ...]
+
+
+# The names trees and diagrams used before they shared one node type.
+DTLeaf = OmddTerminal = Leaf
+DTNode = OmddNode = Node
 
 
 @dataclass(frozen=True)
-class DecisionTree:
-    """Set-labelled decision tree; deterministic, total, read-once per path."""
+class _DecisionGraph:
+    """Read-once decision graph: the core of ``DecisionTree`` and ``Omdd``.
 
-    space: FeatureSpace
-    root: Union[DTNode, DTLeaf]
+    Construction checks every node once and stores ``nodes``, the distinct
+    nodes children first (the root last): ``(feature, ((values, child
+    position), ...))`` for an internal node, ``(None, class_value)`` for a
+    leaf. Every per-node pass (cube sums, counterexamples, Shapley,
+    serialization) reads that list, so a node shared by several paths is
+    visited once.
+    """
 
-    def __post_init__(self):
+    nodes: tuple = field(init=False, repr=False, compare=False)
+    classes: frozenset = field(init=False, repr=False, compare=False)
+
+    def _index(self, rank=None):
+        """Validate the graph below ``root`` and store ``nodes`` and ``classes``.
+
+        ``rank`` maps features to positions in a variable order; every edge
+        between internal nodes must then move to a strictly later position.
+        """
+        m = self.space.m
+        domains = [frozenset(range(d)) for d in self.space.domain_sizes]
+        post = {}  # id -> position in ``nodes``
+        nodes = []
+        tested = []  # bitmask of the features tested at or beneath each node
         classes = set()
 
-        def walk(node, used):
-            if isinstance(node, DTLeaf):
+        def visit(node, used, above):
+            # ``used`` holds the features tested on the path down to here and
+            # ``above`` the last one's position in the order, so the recursion
+            # ends within m levels however deep a malformed chain is
+            if isinstance(node, Node):
+                f = node.feature
+                if not 0 <= f < m:
+                    raise InputError(f"node tests unknown feature {f}")
+                if rank is not None and rank[f] <= above:
+                    raise InputError("edge does not advance in the variable order")
+                if used >> f & 1:
+                    raise InputError(f"feature {f + 1} tested twice on one path")
+            if id(node) in post:
+                return post[id(node)]
+            if isinstance(node, Leaf):
                 classes.add(int(node.class_value))
-                return
-            if not isinstance(node, DTNode):
+                nodes.append((None, node.class_value))
+                tested.append(0)
+            elif not isinstance(node, Node):
                 raise InputError(f"unexpected node object {node!r}")
-            f = node.feature
-            if not 0 <= f < self.space.m:
-                raise InputError(f"node tests unknown feature {f}")
-            if f in used:
-                raise InputError(f"feature {f + 1} tested twice on one path")
-            domain = set(range(self.space.domain_sizes[f]))
-            seen = set()
-            for values, child in node.edges:
-                if not values:
-                    raise InputError("empty edge label")
-                if not values <= domain:
-                    raise InputError(f"edge label {sorted(values)} outside domain of feature {f + 1}")
-                if values & seen:
-                    raise InputError(f"overlapping edge labels at feature {f + 1}")
-                seen |= values
-                walk(child, used | {f})
-            if seen != domain:
-                raise InputError(f"edges of feature {f + 1} do not cover its domain")
+            else:
+                here = -1 if rank is None else rank[f]
+                covered = set()
+                mask = 0
+                edges = []
+                for values, child in node.edges:
+                    if not values:
+                        raise InputError("empty edge label")
+                    if not values <= domains[f]:
+                        raise InputError(f"edge label {sorted(values)} outside domain of feature {f + 1}")
+                    if values & covered:
+                        raise InputError(f"overlapping edge labels at feature {f + 1}")
+                    covered |= values
+                    c = visit(child, used | 1 << f, here)
+                    mask |= tested[c]
+                    edges.append((values, c))
+                if covered != domains[f]:
+                    raise InputError(f"edges of feature {f + 1} do not cover its domain")
+                # a node first reached by another path escapes the check on
+                # ``used``; every node beneath this one lies on a path through it
+                if mask >> f & 1:
+                    raise InputError(f"feature {f + 1} tested twice on one path")
+                nodes.append((f, tuple(edges)))
+                tested.append(mask | 1 << f)
+            k = post[id(node)] = len(nodes) - 1
+            return k
 
-        walk(self.root, frozenset())
+        visit(self.root, 0, -1)
         if len(classes) < 2:
             raise InputError("classifier is constant; at least two classes must occur")
+        object.__setattr__(self, "nodes", tuple(nodes))
+        object.__setattr__(self, "classes", frozenset(classes))
 
     def evaluate(self, point) -> int:
         point = self.space.validate_point(point)
         node = self.root
-        while isinstance(node, DTNode):
+        while isinstance(node, Node):
             x = point[node.feature]
             node = next(child for values, child in node.edges if x in values)
         return node.class_value
 
     def class_values(self) -> frozenset[int]:
-        out = set()
+        return self.classes
 
-        def walk(node):
-            if isinstance(node, DTLeaf):
-                out.add(node.class_value)
-            else:
-                for _, child in node.edges:
-                    walk(child)
-
-        walk(self.root)
-        return frozenset(out)
+    def nonterminal_count(self) -> int:
+        return sum(1 for f, _ in self.nodes if f is not None)
 
 
 @dataclass(frozen=True)
-class OmddTerminal:
-    class_value: int
+class DecisionTree(_DecisionGraph):
+    """Set-labelled decision tree; deterministic, total, read-once per path.
+
+    Subtrees may be shared as long as every path stays read-once.
+    """
+
+    space: FeatureSpace
+    root: Union[Node, Leaf]
+
+    def __post_init__(self):
+        self._index()
+
+    # each representation holds its own evaluate, so it can be wrapped alone
+    evaluate = _DecisionGraph.evaluate
 
 
 @dataclass(frozen=True)
-class OmddNode:
-    feature: int
-    edges: tuple[tuple[frozenset[int], Union["OmddNode", OmddTerminal]], ...]
-
-
-@dataclass(frozen=True)
-class Omdd:
+class Omdd(_DecisionGraph):
     """Ordered multi-valued decision diagram.
 
     Edges may skip layers but only move to strictly later positions of the
     variable order (or to a terminal). Construction validates ordering,
     determinism and totality; canonical reducedness is the builder's job
     (see ``tabular_to_omdd``/``reduce_omdd``, checked by ``is_reduced``).
+    No computation reads the order: it constrains and serializes the diagram.
     """
 
     space: FeatureSpace
     order: tuple[int, ...]
-    root: Union[OmddNode, OmddTerminal]
+    root: Union[Node, Leaf]
 
     def __post_init__(self):
         object.__setattr__(self, "order", tuple(self.order))
         if sorted(self.order) != list(range(self.space.m)):
             raise InputError(f"order {self.order} is not a permutation of the features")
-        pos = {f: k for k, f in enumerate(self.order)}
-        classes = set()
-        seen = set()
+        rank = [0] * self.space.m
+        for k, f in enumerate(self.order):
+            rank[f] = k
+        self._index(rank)
 
-        def walk(node, above):
-            # the order is checked before descending, so recursion stays
-            # within m levels however long a malformed chain is
-            if isinstance(node, OmddTerminal):
-                classes.add(int(node.class_value))
-                return
-            if not isinstance(node, OmddNode):
-                raise InputError(f"unexpected node object {node!r}")
-            f = node.feature
-            if not 0 <= f < self.space.m:
-                raise InputError(f"node tests unknown feature {f}")
-            if pos[f] <= above:
-                raise InputError("edge does not advance in the variable order")
-            if id(node) in seen:
-                return
-            seen.add(id(node))
-            domain = set(range(self.space.domain_sizes[f]))
-            covered = set()
-            for values, child in node.edges:
-                if not values:
-                    raise InputError("empty edge label")
-                if not values <= domain:
-                    raise InputError(f"edge label {sorted(values)} outside domain of feature {f + 1}")
-                if values & covered:
-                    raise InputError(f"overlapping edge labels at feature {f + 1}")
-                covered |= values
-                walk(child, pos[f])
-            if covered != domain:
-                raise InputError(f"edges of feature {f + 1} do not cover its domain")
-
-        walk(self.root, -1)
-        if len(classes) < 2:
-            raise InputError("classifier is constant; at least two classes must occur")
-
-    def evaluate(self, point) -> int:
-        point = self.space.validate_point(point)
-        node = self.root
-        while isinstance(node, OmddNode):
-            x = point[node.feature]
-            node = next(child for values, child in node.edges if x in values)
-        return node.class_value
-
-    def class_values(self) -> frozenset[int]:
-        out = set()
-        seen = set()
-
-        def walk(node):
-            if id(node) in seen:
-                return
-            seen.add(id(node))
-            if isinstance(node, OmddTerminal):
-                out.add(node.class_value)
-            else:
-                for _, child in node.edges:
-                    walk(child)
-
-        walk(self.root)
-        return frozenset(out)
-
-    def nonterminal_count(self) -> int:
-        seen = set()
-
-        def walk(node):
-            if isinstance(node, OmddTerminal) or id(node) in seen:
-                return 0
-            seen.add(id(node))
-            return 1 + sum(walk(child) for _, child in node.edges)
-
-        return walk(self.root)
+    evaluate = _DecisionGraph.evaluate
 
 
 Classifier = Union[TabularClassifier, DecisionTree, Omdd]
@@ -351,7 +338,7 @@ def sum_kappa_over_cube(model: Classifier, S, v, backend: str = "auto") -> int:
     """Sum of class values over all points agreeing with v on S.
 
     ``enumerate`` walks the cube point by point and works for every
-    representation; ``paths`` counts models per leaf/terminal and needs a
+    representation; ``paths`` counts models per node and needs a
     DecisionTree or Omdd. Both produce the same exact integer.
     """
     space = model.space
@@ -364,67 +351,30 @@ def sum_kappa_over_cube(model: Classifier, S, v, backend: str = "auto") -> int:
             raise CapacityError("cube too large for the enumeration backend")
         return sum(model.evaluate(p) for p in space.cube_points(S, v))
     if backend == "paths":
-        if isinstance(model, DecisionTree):
-            return _dt_cube_sum(model, S, v)
-        if isinstance(model, Omdd):
-            return _omdd_cube_sum(model, S, v)
-        raise InputError("path counting needs a decision tree or an OMDD")
+        if not isinstance(model, _DecisionGraph):
+            raise InputError("path counting needs a decision tree or an OMDD")
+        return _graph_cube_sum(model, S, v)
     raise InputError(f"unknown backend {backend!r}")
 
 
-def _dt_cube_sum(dt: DecisionTree, S, v) -> int:
-    sizes = dt.space.domain_sizes
-
-    def rec(node, tested, weight):
-        if isinstance(node, DTLeaf):
-            untested = prod(sizes[i] for i in range(dt.space.m)
-                            if i not in S and i not in tested)
-            return node.class_value * weight * untested
-        f = node.feature
-        total = 0
-        for values, child in node.edges:
-            if f in S:
-                if v[f] in values:
-                    total += rec(child, tested | {f}, weight)
-            else:
-                total += rec(child, tested | {f}, weight * len(values))
-        return total
-
-    return rec(dt.root, frozenset(), 1)
-
-
-def _omdd_cube_sum(omdd: Omdd, S, v) -> int:
-    sizes = omdd.space.domain_sizes
-    order = omdd.order
-    pos = {f: k for k, f in enumerate(order)}
-    m = omdd.space.m
-
-    def skip(a, b):
-        # product over positions a..b-1 of the free-domain sizes
-        return prod(1 if order[q] in S else sizes[order[q]] for q in range(a, b))
-
-    memo = {}
-
-    def down(node):
-        # weighted class sum over the sub-cube rooted at this node's layer
-        if isinstance(node, OmddTerminal):
-            return node.class_value
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        p = pos[node.feature]
-        total = 0
-        for values, child in node.edges:
-            w = (1 if v[node.feature] in values else 0) \
-                if node.feature in S else len(values)
-            if w:
-                cp = m if isinstance(child, OmddTerminal) else pos[child.feature]
-                total += w * skip(p + 1, cp) * down(child)
-        memo[key] = total
-        return total
-
-    root_pos = m if isinstance(omdd.root, OmddTerminal) else pos[omdd.root.feature]
-    return skip(0, root_pos) * down(omdd.root)
+def _graph_cube_sum(model, S, v) -> int:
+    # A(u) is the cube sum of the function below u. A leaf contributes its
+    # class once per cube point. At a node testing a free feature f, the
+    # points following an edge E make up |E| / d_f of the cube, and
+    # A(child) does not depend on x_f (no path tests f twice), so the
+    # floor division is exact.
+    sizes = model.space.domain_sizes
+    free = prod(d for j, d in enumerate(sizes) if j not in S)
+    nodes = model.nodes
+    total = [0] * len(nodes)
+    for k, (f, edges) in enumerate(nodes):
+        if f is None:
+            total[k] = edges * free
+        elif f in S:
+            total[k] = next(total[c] for values, c in edges if v[f] in values)
+        else:
+            total[k] = sum(len(values) * total[c] for values, c in edges) // sizes[f]
+    return total[-1]
 
 
 def find_counterexample(model: Classifier, S, v, target: int):
@@ -443,62 +393,61 @@ def find_counterexample(model: Classifier, S, v, target: int):
             if model.evaluate(p) != target:
                 return p
         return None
-    assignment = _branch_counterexample(model, S, v, target)
-    if assignment is None:
+    choice = _graph_counterexample(model.nodes, S, v, target)
+    if choice is None:
         return None
-    return tuple(assignment.get(i, v[i]) for i in range(space.m))
+    point = list(v)
+    while choice:
+        f, x, choice = choice
+        point[f] = x
+    return tuple(point)
 
 
-def _branch_counterexample(model, S, v, target):
-    """Partial assignment reaching a non-target leaf/terminal, or None."""
-    use_memo = isinstance(model, Omdd)
+def _graph_counterexample(nodes, S, v, target):
+    """Chain ``(feature, value, rest)`` of edge choices reaching a leaf whose
+    class differs from target (``()`` at the leaf), or None. Each node's
+    answer depends on the node alone, so it is computed once."""
     memo = {}
 
-    def rec(node):
-        if isinstance(node, (DTLeaf, OmddTerminal)):
-            return {} if node.class_value != target else None
-        if use_memo and id(node) in memo:
-            return memo[id(node)]
-        f = node.feature
+    def rec(k):
+        if k in memo:
+            return memo[k]
+        f, edges = nodes[k]
         found = None
-        for values, child in node.edges:
-            if f in S:
-                if v[f] not in values:
+        if f is None:
+            if edges != target:
+                found = ()
+        else:
+            x = v[f]
+            for values, child in edges:
+                if x in values:
+                    pick = x
+                elif f in S:
                     continue
-                pick = v[f]
-            else:
-                pick = v[f] if v[f] in values else min(values)
-            sub = rec(child)
-            if sub is not None:
-                found = dict(sub)
-                found[f] = pick
-                break
-        if use_memo:
-            memo[id(node)] = found
+                else:
+                    pick = min(values)
+                sub = rec(child)
+                if sub is not None:
+                    found = (f, pick, sub)
+                    break
+        memo[k] = found
         return found
 
-    return rec(model.root)
+    return rec(len(nodes) - 1)
 
 
 # ---------------------------------------------------------------------------
 # Conversions
 # ---------------------------------------------------------------------------
 
-def dt_to_tabular(dt: DecisionTree) -> TabularClassifier:
-    """Materialize a decision tree as a complete table (space must be enumerable)."""
-    return TabularClassifier.from_function(dt.space, dt.evaluate)
-
-
-def omdd_to_tabular(omdd: Omdd) -> TabularClassifier:
-    return TabularClassifier.from_function(omdd.space, omdd.evaluate)
-
-
 def to_tabular(model: Classifier) -> TabularClassifier:
+    """Materialize a classifier as a complete table (space must be enumerable)."""
     if isinstance(model, TabularClassifier):
         return model
-    if isinstance(model, DecisionTree):
-        return dt_to_tabular(model)
-    return omdd_to_tabular(model)
+    return TabularClassifier.from_function(model.space, model.evaluate)
+
+
+dt_to_tabular = omdd_to_tabular = to_tabular
 
 
 def tabular_to_omdd(table: TabularClassifier, order=None) -> Omdd:
@@ -532,7 +481,7 @@ def tabular_to_omdd(table: TabularClassifier, order=None) -> Omdd:
     def build(vec, pos):
         first = vec[0]
         if all(c == first for c in vec):
-            return intern(("t", first), lambda: OmddTerminal(first))
+            return intern(("t", first), lambda: Leaf(first))
         d = space.domain_sizes[order[pos]]
         chunk = len(vec) // d
         children = [build(vec[k * chunk:(k + 1) * chunk], pos + 1) for k in range(d)]
@@ -543,7 +492,7 @@ def tabular_to_omdd(table: TabularClassifier, order=None) -> Omdd:
             return children[0]
         edges = tuple((frozenset(vals), child) for child, vals in groups.values())
         key = ("n", order[pos], tuple(sorted((tuple(sorted(vs)), id(ch)) for vs, ch in edges)))
-        return intern(key, lambda: OmddNode(order[pos], edges))
+        return intern(key, lambda: Node(order[pos], edges))
 
     return Omdd(space, order, build(tuple(vec), 0))
 
@@ -563,8 +512,8 @@ def reduce_omdd(omdd: Omdd) -> Omdd:
     def rebuild(node):
         if id(node) in memo:
             return memo[id(node)]
-        if isinstance(node, OmddTerminal):
-            out = intern(("t", node.class_value), lambda: OmddTerminal(node.class_value))
+        if isinstance(node, Leaf):
+            out = intern(("t", node.class_value), lambda: Leaf(node.class_value))
         else:
             groups = {}
             for values, child in node.edges:
@@ -576,7 +525,7 @@ def reduce_omdd(omdd: Omdd) -> Omdd:
                 edges = tuple((frozenset(vals), child) for child, vals in groups.values())
                 key = ("n", node.feature,
                        tuple(sorted((tuple(sorted(vs)), id(ch)) for vs, ch in edges)))
-                out = intern(key, lambda: OmddNode(node.feature, edges))
+                out = intern(key, lambda: Node(node.feature, edges))
         memo[id(node)] = out
         return out
 
@@ -596,7 +545,7 @@ def is_reduced(omdd: Omdd) -> bool:
         if id(node) in seen:
             return
         seen.add(id(node))
-        if isinstance(node, OmddTerminal):
+        if isinstance(node, Leaf):
             key = ("t", node.class_value)
         else:
             children = []

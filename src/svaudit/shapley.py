@@ -15,10 +15,11 @@ Two engines compute the same rationals:
   each representation yields, per feature i, the size-graded sums
   ``Q_i[k] = sum_{|S|=k, i not in S} D * (phi(S | {i}) - phi(S))``.
   A table gets all 2^m cube sums from one collapse of each feature axis,
-  O(N + m 2^m) for N points (so linear in the table). Trees and OMDDs run
-  a bottom-up and a top-down pass of integer polynomials in a variable
-  marking "in S", O(|G| m^2) for a graph of |G| nodes (per path for
-  trees). ``Sv(i) = sum_k k!(m-1-k)! Q_i[k] / (m! D)``.
+  O(N + m 2^m) for N points (so linear in the table). Trees and OMDDs
+  share one bottom-up and one top-down pass of integer polynomials over
+  their stored node list, O(|G| m^2) for a graph of |G| distinct nodes;
+  the pass needs no variable order, only that every path is read-once.
+  ``Sv(i) = sum_k k!(m-1-k)! Q_i[k] / (m! D)``.
 * the reference coalition loop (``backend="enumerate"`` or ``"paths"``)
   evaluates phi on all 2^m coalitions with that cube-sum backend.
 """
@@ -30,15 +31,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 from .errors import CapacityError, InputError
-from .models import (
-    DTLeaf,
-    ExplanationProblem,
-    Omdd,
-    OmddTerminal,
-    TabularClassifier,
-    cube_size,
-    sum_kappa_over_cube,
-)
+from .models import ExplanationProblem, TabularClassifier, cube_size, sum_kappa_over_cube
 from .rat import rat_json, rat_str
 
 # Every engine refuses more features than this (the reference loop is O(2^m)).
@@ -135,8 +128,7 @@ def _graded_marginals(problem: ExplanationProblem) -> list[list[int]]:
     model, v = problem.model, problem.point
     if isinstance(model, TabularClassifier):
         return _table_grades(model, v)
-    nodes, root_top = _omdd_graph(model, v) if isinstance(model, Omdd) else _tree_graph(model, v)
-    return _graph_grades(nodes, root_top, problem.m)
+    return _graph_grades(model, v)
 
 
 def _table_grades(table: TabularClassifier, v) -> list[list[int]]:
@@ -174,129 +166,75 @@ def _table_grades(table: TabularClassifier, v) -> list[list[int]]:
     return grades
 
 
-# Graphs are flattened to parents-first node lists. A node is
-# ``(None, class_value)`` for a leaf, or ``(feature, edges)`` with edges
-# ``(free, fixed, skip, child)``: the edge's weight when the feature is free
-# (|E|) and when it is fixed to v (d_f if v_f is in E, else 0), the
-# polynomial of the layers skipped on the way to ``child`` (d_j (1 + z) per
-# skipped feature j), and the child's position in the list.
-
-_ONE = (1,)
-
-
-def _free_layers(width: int, gap: int):
-    """width * (1 + z)^gap: ``gap`` free features whose domain sizes multiply
-    to ``width``."""
-    return _ONE if gap == 0 else tuple(width * comb(gap, k) for k in range(gap + 1))
-
-
-def _omdd_graph(omdd: Omdd, v):
-    sizes, order, m = omdd.space.domain_sizes, omdd.order, omdd.space.m
-    pos = {f: k for k, f in enumerate(order)}
-    layer_d = [sizes[f] for f in order]
-
-    def layer(node):
-        return m if isinstance(node, OmddTerminal) else pos[node.feature]
-
-    skips = {}
-
-    def skip(p, q):
-        # layers strictly between positions p and q
-        if (p, q) not in skips:
-            skips[p, q] = _free_layers(prod(layer_d[p + 1:q]), q - p - 1)
-        return skips[p, q]
-
-    reached = {id(omdd.root): omdd.root}
-    stack = [omdd.root]
-    while stack:
-        node = stack.pop()
-        if not isinstance(node, OmddTerminal):
-            for _, child in node.edges:
-                if id(child) not in reached:
-                    reached[id(child)] = child
-                    stack.append(child)
-    ordered = sorted(reached.values(), key=layer)
-    index = {id(node): k for k, node in enumerate(ordered)}
-
-    nodes = []
-    for node in ordered:
-        if isinstance(node, OmddTerminal):
-            nodes.append((None, node.class_value))
-            continue
-        f, p = node.feature, pos[node.feature]
-        nodes.append((f, [(len(E), sizes[f] if v[f] in E else 0,
-                           skip(p, layer(child)), index[id(child)])
-                          for E, child in node.edges]))
-    return nodes, skip(-1, layer(omdd.root))
-
-
-def _tree_graph(dt, v):
-    # Each path is unfolded on its own (a loaded tree may share subtrees),
-    # so the features a path never tests are known at its leaf. Nodes are
-    # numbered breadth-first, so a child's position is known when queued.
-    sizes = dt.space.domain_sizes
-    m, total = len(sizes), prod(sizes)
-    nodes = []
-    queue = [(dt.root, 0, 1)]  # node, depth, product of the tested d_j
-    for node, depth, tested in queue:
-        if isinstance(node, DTLeaf):
-            nodes.append((None, node.class_value))
-            continue
-        f = node.feature
-        below = tested * sizes[f]
-        edges = []
-        for E, child in node.edges:
-            step = _ONE
-            if isinstance(child, DTLeaf):
-                step = _free_layers(total // below, m - depth - 1)
-            edges.append((len(E), sizes[f] if v[f] in E else 0, step, len(queue)))
-            queue.append((child, depth + 1, below))
-        nodes.append((f, edges))
-    return nodes, _ONE
-
-
-def _graph_grades(nodes, root_top, m: int) -> list[list[int]]:
+def _graph_grades(model, v) -> list[list[int]]:
     """Q_i from Bottom(u) (weighted class sum below u), Top(u) (weight of the
-    paths reaching u) and the gain of fixing u's feature to v."""
+    paths reaching u) and the gain of fixing u's feature to v.
+
+    Polynomials are in w = 1/(1+z), z marking "in S". Dividing by
+    d_j (1+z) for every feature j, a path's features each contribute
+    (b + (a-b) w) / d_f on the edge that tests them, with a = |E| and
+    b = d_f [v_f in E], and features it does not test contribute 1. Top and
+    Bottom are scaled by D = prod d_j, so they stay integer polynomials, and
+    Q_i(z) = (1+z)^(m-1) sum_{u tests i} Top(u) Gain(u) / D.
+    """
+    nodes = model.nodes
+    sizes = model.space.domain_sizes
+    m, D = len(sizes), model.space.size
     count = len(nodes)
+
+    # Every division by d_f below is exact: f is tested neither above nor
+    # beneath a node testing f on any path, so each term of Top(u) and of
+    # Bottom(child) still carries the factor d_f of D.
     bottom = [None] * count
     gain = [None] * count
-    for k in range(count - 1, -1, -1):
+    for k, (f, edges) in enumerate(nodes):  # children first
+        if f is None:
+            bottom[k] = [D * edges]
+            continue
+        d, x = sizes[f], v[f]
+        free = []
+        for E, child in edges:
+            _axpy(free, bottom[child], len(E))
+            if x in E:
+                fixed = bottom[child]
+        free = [c // d for c in free]
+        gain[k] = _axpy(list(fixed), free, -1)
+        bottom[k] = _axpy(list(fixed), [0] + gain[k], -1)
+
+    grades = [[] for _ in range(m)]
+    top = [None] * count
+    top[-1] = [D]
+    for k in range(count - 1, -1, -1):  # parents first
         f, edges = nodes[k]
         if f is None:
-            bottom[k] = [edges]
             continue
-        free, fixed = [], []
-        for a, b, step, child in edges:
-            below = bottom[child] if step is _ONE else _mul(step, bottom[child])
-            _axpy(free, below, a)
-            if b:
-                _axpy(fixed, below, b)
-        gain[k] = _axpy(list(fixed), free, -1)
-        bottom[k] = _axpy([0] + fixed, free, 1)
-
-    grades = [[0] * m for _ in range(m)]
-    top = [None] * count
-    top[0] = root_top
-    for k, (f, edges) in enumerate(nodes):
-        if f is None:
-            continue
-        t = top[k]
-        _axpy(grades[f], _mul(t, gain[k]), 1)
-        for a, b, step, child in edges:
+        _axpy(grades[f], _mul(top[k], gain[k]), 1)
+        d, x = sizes[f], v[f]
+        t = [c // d for c in top[k]]
+        for E, child in edges:
             if nodes[child][0] is None:
                 continue
-            reach = [a * x for x in t] + [0]
-            if b:
-                for j, x in enumerate(t):
-                    reach[j + 1] += b * x
-            if step is not _ONE:
-                reach = _mul(reach, step)
+            b = d if x in E else 0
+            reach = [b * c for c in t] + [0]
+            for j, c in enumerate(t, 1):
+                reach[j] += (len(E) - b) * c
             if top[child] is None:
                 top[child] = reach
             else:
                 _axpy(top[child], reach, 1)
-    return grades
+
+    # sum_j c_j w^j (1+z)^(m-1) = sum_j c_j (1+z)^(m-1-j). The division by D
+    # is exact: a path's term of Top(u) Gain(u) is D^2 over the product of
+    # the d_f of the distinct features it tests.
+    out = []
+    for g in grades:
+        q = [0] * m
+        for j, c in enumerate(g):
+            c //= D
+            for s in range(m - j):
+                q[s] += c * comb(m - 1 - j, s)
+        out.append(q)
+    return out
 
 
 def _mul(p, q) -> list[int]:

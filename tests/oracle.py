@@ -132,23 +132,24 @@ def random_problem(rng, **kwargs):
     return ExplanationProblem.of(table, point)
 
 
+def _partition(rng, values):
+    values = list(values)
+    rng.shuffle(values)
+    k = rng.randint(1, len(values))
+    groups = [[] for _ in range(k)]
+    for j, val in enumerate(values):
+        groups[j % k].append(val)
+    return [frozenset(g) for g in groups]
+
+
 def random_dt(rng, space, classes=3, stop=0.25):
     """Random read-once set-labelled tree over the given space (non-constant)."""
-
-    def partition(values):
-        values = list(values)
-        rng.shuffle(values)
-        k = rng.randint(1, len(values))
-        groups = [[] for _ in range(k)]
-        for j, val in enumerate(values):
-            groups[j % k].append(val)
-        return [frozenset(g) for g in groups]
 
     def grow(avail, depth):
         if not avail or depth == 0 or rng.random() < stop:
             return DTLeaf(rng.randrange(classes))
         f = rng.choice(sorted(avail))
-        groups = partition(range(space.domain_sizes[f]))
+        groups = _partition(rng, range(space.domain_sizes[f]))
         edges = tuple((g, grow(avail - {f}, depth - 1)) for g in groups)
         return DTNode(f, edges)
 
@@ -167,3 +168,31 @@ def random_dt(rng, space, classes=3, stop=0.25):
             leaves(root)
             if len(classes_seen) >= 2:
                 return DecisionTree(space, root)
+
+
+def random_dag(rng, space, classes=range(3), stop=0.25, share=0.4):
+    """Random read-once tree with shared subtrees (non-constant): an edge may
+    point to any subtree built so far that tests no feature on its path."""
+    while True:
+        built = []  # (node, features tested in it)
+        seen = set()
+
+        def grow(avail):
+            fits = [b for b in built if b[1] <= avail]
+            if fits and rng.random() < share:
+                return rng.choice(fits)
+            if not avail or rng.random() < stop:
+                c = rng.choice(classes)
+                seen.add(c)
+                out = (DTLeaf(c), frozenset())
+            else:
+                f = rng.choice(sorted(avail))
+                kids = [(g, grow(avail - {f})) for g in _partition(rng, range(space.domain_sizes[f]))]
+                out = (DTNode(f, tuple((g, node) for g, (node, _) in kids)),
+                       frozenset({f}).union(*(tested for _, (_, tested) in kids)))
+            built.append(out)
+            return out
+
+        root, _ = grow(frozenset(range(space.m)))
+        if isinstance(root, DTNode) and len(seen) >= 2:
+            return DecisionTree(space, root)

@@ -228,7 +228,7 @@ def test_enumeration_cap():
 
 def test_enumeration_agrees_across_representations():
     from svaudit.models import dt_to_tabular, tabular_to_omdd
-    from oracle import random_dt, random_table
+    from oracle import random_dag, random_dt, random_table
     rng = random.Random(47)
     for _ in range(15):
         table = random_table(rng, max_features=5)
@@ -246,6 +246,18 @@ def test_enumeration_agrees_across_representations():
         expected = enumerate_explanations(ExplanationProblem.of(dt_to_tabular(dt), v))
         got = enumerate_explanations(ExplanationProblem.of(dt, v))
         assert got == expected
+    dag_rng = random.Random(97)
+    for _ in range(15):
+        space = FeatureSpace(tuple(dag_rng.choice((2, 3)) for _ in range(dag_rng.randint(2, 5))))
+        dag = random_dag(dag_rng, space)
+        v = tuple(dag_rng.randrange(d) for d in space.domain_sizes)
+        problem = ExplanationProblem.of(dag, v)
+        table_problem = ExplanationProblem.of(dt_to_tabular(dag), v)
+        assert enumerate_explanations(problem) == enumerate_explanations(table_problem)
+        for mask in range(1 << space.m):
+            S = frozenset(i for i in range(space.m) if mask >> i & 1)
+            assert is_sufficient(problem, S) == is_sufficient(table_problem, S)
+            assert is_counterfactual(problem, S) == is_counterfactual(table_problem, S)
 
 
 def test_sufficiency_on_omdd(k1_table, k1_problem):

@@ -2,15 +2,16 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from oracle import random_dt
+from oracle import random_dag, random_dt
 from svaudit.adversarial import min_l0_distance, minimal_adversarial_sets
 from svaudit.cli import main
 from svaudit.explain import enumerate_explanations, relevancy_report
 from svaudit.families import FAMILY_IDS
-from svaudit.model_io import load_model, save_model
+from svaudit.model_io import load_model, model_from_dict, save_model
 from svaudit.models import (
     DecisionTree,
     DTLeaf,
@@ -18,6 +19,8 @@ from svaudit.models import (
     ExplanationProblem,
     FeatureSpace,
     dt_to_tabular,
+    find_counterexample,
+    sum_kappa_over_cube,
     tabular_to_omdd,
 )
 from svaudit.shapley import shapley_values
@@ -123,18 +126,22 @@ def test_engines_agree_on_structured_trees():
     # wide random trees produce many explanations; both engines and both
     # conversion paths must tell the same story
     rng = random.Random(401)
+    dag_rng = random.Random(409)
     for _ in range(10):
         m = rng.randint(6, 8)
         space = FeatureSpace(tuple(rng.choice((2, 2, 3)) for _ in range(m)))
         dt = random_dt(rng, space, classes=2, stop=0.05)
         v = tuple(rng.randrange(d) for d in space.domain_sizes)
-        prob_dt = ExplanationProblem.of(dt, v)
-        prob_tab = ExplanationProblem.of(dt_to_tabular(dt), v)
-        prob_mdd = ExplanationProblem.of(tabular_to_omdd(dt_to_tabular(dt)), v)
-        expected = enumerate_explanations(prob_tab, engine="brute")
-        assert enumerate_explanations(prob_dt, engine="duality") == expected
-        assert enumerate_explanations(prob_mdd, engine="duality") == expected
-        assert [a.changed for a in minimal_adversarial_sets(prob_tab)] == list(expected[1])
+        dag = random_dag(dag_rng, space, classes=range(2), stop=0.05)
+        dag_v = tuple(dag_rng.randrange(d) for d in space.domain_sizes)
+        for tree, v in ((dt, v), (dag, dag_v)):
+            prob_dt = ExplanationProblem.of(tree, v)
+            prob_tab = ExplanationProblem.of(dt_to_tabular(tree), v)
+            prob_mdd = ExplanationProblem.of(tabular_to_omdd(dt_to_tabular(tree)), v)
+            expected = enumerate_explanations(prob_tab, engine="brute")
+            assert enumerate_explanations(prob_dt, engine="duality") == expected
+            assert enumerate_explanations(prob_mdd, engine="duality") == expected
+            assert [a.changed for a in minimal_adversarial_sets(prob_tab)] == list(expected[1])
 
 
 def test_single_feature_problem_end_to_end():
@@ -181,3 +188,35 @@ def test_omdd_model_file_with_custom_order_scans(capsys, tmp_path, k2_table):
                        "--out", str(tmp_path / "scan.csv"))
     assert code == 0
     assert json.loads(out)["total"] == 18
+
+
+def _shared_chain_doc(m):
+    """Node k < m-1 tests feature k+1 and sends both edges to node k+1, so
+    the m+2 nodes hold 2^m paths and compute f = x_m over binary features."""
+    nodes = [{"id": k, "feature": k + 1, "edges": [{"values": [0], "to": k + 1},
+                                                   {"values": [1], "to": k + 1}]}
+             for k in range(m - 1)]
+    nodes.append({"id": m - 1, "feature": m, "edges": [{"values": [0], "to": m},
+                                                       {"values": [1], "to": m + 1}]})
+    nodes += [{"id": m, "class": 0}, {"id": m + 1, "class": 1}]
+    return {"type": "dt", "features": [{"name": f"x{i}", "domain": 2} for i in range(1, m + 1)],
+            "classes": [0, 1], "nodes": nodes}
+
+
+def test_shared_subtrees_cost_the_node_count_not_the_path_count():
+    m = 24
+    dt = model_from_dict(_shared_chain_doc(m))
+    assert dt.nonterminal_count() == m
+    problem = ExplanationProblem.of(dt, (1,) * m)
+    report = shapley_values(problem)
+    assert report.values == (0,) * (m - 1) + (Fraction(1, 2),)
+    assert report.residual == 0
+    assert sum_kappa_over_cube(dt, frozenset(), problem.point, backend="paths") == 1 << (m - 1)
+    assert find_counterexample(dt, frozenset(range(m - 1)), problem.point, 1) \
+        == (1,) * (m - 1) + (0,)
+    assert find_counterexample(dt, frozenset({m - 1}), problem.point, 1) is None
+
+    m = 20
+    problem = ExplanationProblem.of(model_from_dict(_shared_chain_doc(m)), (1,) * m)
+    relevancy = relevancy_report(problem)
+    assert relevancy.axps == relevancy.cxps == (frozenset({m - 1}),)

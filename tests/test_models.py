@@ -14,6 +14,8 @@ from svaudit.models import (
     DTNode,
     ExplanationProblem,
     FeatureSpace,
+    Leaf,
+    Node,
     Omdd,
     OmddNode,
     OmddTerminal,
@@ -97,6 +99,23 @@ def test_dt_structural_validation():
     with pytest.raises(InputError):  # repeated feature on a path
         inner = DTNode(0, ((frozenset({0}), leaf0), (frozenset({1}), leaf1)))
         DecisionTree(space, DTNode(0, ((frozenset({0}), inner), (frozenset({1}), leaf1))))
+
+
+def test_shared_nodes_are_checked_on_every_path():
+    # each shared node is first reached by a path that is fine
+    space = FeatureSpace((2, 2, 2))
+    leaf0, leaf1 = Leaf(0), Leaf(1)
+    d = Node(1, ((frozenset({0}), leaf0), (frozenset({1}), leaf1)))
+    c = Node(2, ((frozenset({0}), d), (frozenset({1}), leaf1)))
+    a = Node(1, ((frozenset({0}), c), (frozenset({1}), leaf0)))
+    with pytest.raises(InputError, match="feature 2 tested twice"):  # x1, x2, x3, x2
+        DecisionTree(space, Node(0, ((frozenset({0}), c), (frozenset({1}), a))))
+    a = Node(2, ((frozenset({0}), d), (frozenset({1}), leaf0)))
+    root = Node(0, ((frozenset({0}), d), (frozenset({1}), a)))
+    DecisionTree(space, root)
+    with pytest.raises(InputError, match="does not advance"):  # x3 then x2
+        Omdd(space, (0, 1, 2), root)
+    assert Omdd(space, (0, 2, 1), root).nonterminal_count() == 3
 
 
 def test_cube_size_examples(k1_table, k2_table):

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from oracle import o_shapley, random_dt, random_problem, random_table
+from oracle import o_shapley, random_dag, random_dt, random_problem, random_table
 from svaudit.errors import CapacityError
 from svaudit.model_io import model_from_dict
 from svaudit.models import (
@@ -212,8 +212,10 @@ def _shift_leaves(node, delta):
 
 
 def test_polynomial_engine_matches_reference_loop_and_oracle():
-    # tables, trees and OMDDs under random orders; domains 2-4, classes -3..3
+    # tables, trees, trees with shared subtrees and OMDDs under random
+    # orders; domains 2-4, classes -3..3
     rng = random.Random(79)
+    dag_rng = random.Random(83)
     for _ in range(45):
         m = rng.randint(1, 6)
         space = FeatureSpace(tuple(rng.randint(2, 4) for _ in range(m)))
@@ -230,6 +232,7 @@ def test_polynomial_engine_matches_reference_loop_and_oracle():
         models = [table, tabular_to_omdd(table, order)]
         dt = random_dt(rng, space, classes=5)
         models.append(DecisionTree(space, _shift_leaves(dt.root, -2)))
+        models.append(random_dag(dag_rng, space, classes=range(-3, 4)))
         for model in models:
             problem = ExplanationProblem.of(model, v)
             report = shapley_values(problem)
