@@ -7,7 +7,9 @@ with a different class; a CXp is a subset-minimal such set. The two families
 are minimal hitting sets of each other, which the duality-driven enumerator
 exploits: it proposes minimal hitting sets of the CXps found so far, and each
 proposal either is a new AXp or yields a counterexample point whose changed
-features minimize to a new CXp.
+features minimize to a new CXp. The enumerator keeps the minimal hitting sets
+between rounds, so each new CXp costs one step of Berge's algorithm instead of
+a recomputation over every CXp found so far.
 """
 
 from __future__ import annotations
@@ -64,33 +66,39 @@ def _elimination_order(problem, order):
     return order
 
 
-def minimal_hitting_sets(family) -> list[frozenset[int]]:
-    """All minimal hitting sets of a family of nonempty sets.
+def minimal_hitting_sets(family, start=None) -> list[frozenset[int]]:
+    """All minimal hitting sets of a family of nonempty sets, sorted.
 
-    Berge's incremental algorithm with minimization after every step; for the
-    empty family the only minimal hitting set is the empty set.
+    Berge's algorithm, one step per set. ``start`` is the value an earlier
+    call returned, the minimal hitting sets of the sets it processed; the
+    result then covers those sets and ``family`` together. The default,
+    ``[frozenset()]``, is the value for no sets at all. A step keeps every
+    set that already hits S and extends only the others, so folding in one
+    new set costs one step, not a recomputation.
     """
-    hs = [frozenset()]
+    hs = [frozenset()] if start is None else start
     for S in family:
         if not S:
             raise InputError("cannot hit an empty set")
-        nxt = []
+        kept, missed = [], []
         for H in hs:
-            if H & S:
-                nxt.append(H)
-            else:
-                nxt.extend(H | {e} for e in sorted(S))
-        hs = _minimal_only(nxt)
-    return sorted(hs, key=_set_key)
-
-
-def _minimal_only(sets):
-    uniq = sorted(set(sets), key=len)
-    out = []
-    for s in uniq:
-        if not any(t < s for t in out):
-            out.append(s)
-    return out
+            (kept if H & S else missed).append(H)
+        if not missed:
+            continue
+        # No kept set is dominated: a new set H|{e} inside a kept H' would
+        # make H a proper subset of H'. Nor does an extension contain
+        # another: both meet S in their added element only, so the two would
+        # share it and the old sets they extend would be nested. An
+        # extension H|{e} can only contain a kept set that holds e.
+        nxt = list(kept)
+        for e in S:
+            holding = [K for K in kept if e in K]
+            for H in missed:
+                c = H | {e}
+                if not any(K <= c for K in holding):
+                    nxt.append(c)
+        hs = sorted(nxt, key=_set_key)
+    return list(hs)
 
 
 def _set_key(s):
@@ -138,10 +146,17 @@ def _enumerate_brute(problem):
 
 
 def _enumerate_duality(problem):
+    """AXps and CXps in discovery order.
+
+    ``hs`` holds the minimal hitting sets of the CXps found so far; each new
+    CXp folds into it with one Berge step. The candidate of a round is the
+    first of them, in ``_set_key`` order, that is not yet a known AXp.
+    """
     axps, cxps = [], []
     axp_set = set()
+    hs = [frozenset()]
     while True:
-        candidate = next((H for H in minimal_hitting_sets(cxps) if H not in axp_set), None)
+        candidate = next((H for H in hs if H not in axp_set), None)
         if candidate is None:
             return axps, cxps
         cex = find_counterexample(problem.model, candidate, problem.point, problem.predicted)
@@ -157,7 +172,9 @@ def _enumerate_duality(problem):
             for t in sorted(diff):
                 if is_counterfactual(problem, Y - {t}):
                     Y.discard(t)
-            cxps.append(frozenset(Y))
+            Y = frozenset(Y)
+            cxps.append(Y)
+            hs = minimal_hitting_sets([Y], hs)
 
 
 @dataclass(frozen=True)

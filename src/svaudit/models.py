@@ -254,8 +254,21 @@ class _DecisionGraph:
     def nonterminal_count(self) -> int:
         return sum(1 for f, _ in self.nodes if f is not None)
 
+    # Compare and hash the stored node list, not ``root``: the generated
+    # methods would walk ``root`` once per root-to-leaf path.
+    def _key(self):
+        return self.space, self.nodes
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
 class DecisionTree(_DecisionGraph):
     """Set-labelled decision tree; deterministic, total, read-once per path.
 
@@ -272,7 +285,7 @@ class DecisionTree(_DecisionGraph):
     evaluate = _DecisionGraph.evaluate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Omdd(_DecisionGraph):
     """Ordered multi-valued decision diagram.
 
@@ -297,6 +310,9 @@ class Omdd(_DecisionGraph):
         self._index(rank)
 
     evaluate = _DecisionGraph.evaluate
+
+    def _key(self):
+        return self.space, self.order, self.nodes
 
 
 Classifier = Union[TabularClassifier, DecisionTree, Omdd]

@@ -107,6 +107,24 @@ def check_mutual_mhs(axps, cxps):
     return True
 
 
+def o_minimal_hitting_sets(family):
+    """Every subset of the family's elements that meets each set and has no
+    proper subset doing so, sorted by its sorted tuple of elements."""
+    family = [frozenset(s) for s in family]
+    universe = sorted(frozenset().union(*family))
+
+    def hits(h):
+        return all(h & s for s in family)
+
+    out = []
+    for r in range(len(universe) + 1):
+        for combo in itertools.combinations(universe, r):
+            h = frozenset(combo)
+            if hits(h) and not any(hits(h - {e}) for e in h):
+                out.append(h)
+    return sorted(out, key=lambda h: tuple(sorted(h)))
+
+
 # ---------------------------------------------------------------------------
 # Random model generators (seeded, deterministic)
 # ---------------------------------------------------------------------------

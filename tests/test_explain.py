@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from oracle import check_mutual_mhs, o_axps, o_cxps, random_problem
+from oracle import check_mutual_mhs, o_axps, o_cxps, o_minimal_hitting_sets, random_problem
+from svaudit import explain
 from svaudit.errors import CapacityError, InputError
 from svaudit.explain import (
     axp_rule,
@@ -17,7 +18,16 @@ from svaudit.explain import (
     one_cxp,
     relevancy_report,
 )
-from svaudit.models import ExplanationProblem, FeatureSpace, TabularClassifier
+from svaudit.models import (
+    DecisionTree,
+    ExplanationProblem,
+    FeatureSpace,
+    Leaf,
+    Node,
+    TabularClassifier,
+    tabular_to_omdd,
+    to_tabular,
+)
 
 # sufficiency verdicts for every feature subset of the first worked example
 K1_SUFFICIENT = {
@@ -167,6 +177,70 @@ def test_minimal_hitting_sets_small_cases():
     assert minimal_hitting_sets(fam) == [frozenset({0, 2}), frozenset({1})]
     with pytest.raises(InputError):
         minimal_hitting_sets([frozenset()])
+
+
+def test_minimal_hitting_sets_match_the_transversal_oracle():
+    rng = random.Random(71)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        family = [frozenset(rng.sample(range(n), rng.randint(1, n)))
+                  for _ in range(rng.randint(0, 12))]
+        expected = o_minimal_hitting_sets(family)
+        assert minimal_hitting_sets(family) == expected
+        assert minimal_hitting_sets(family, None) == expected
+        assert minimal_hitting_sets(family, [frozenset()]) == expected
+        # folding the sets in one at a time, in any order, through ``start``
+        order = family[:]
+        rng.shuffle(order)
+        hs = minimal_hitting_sets([])
+        for S in order:
+            hs = minimal_hitting_sets([S], hs)
+        assert hs == expected
+        # or in two chunks
+        cut = rng.randint(0, len(family))
+        assert minimal_hitting_sets(family[cut:], minimal_hitting_sets(family[:cut])) == expected
+
+
+def test_duality_hands_each_cxp_to_the_hitting_sets_once(monkeypatch):
+    received = []
+    original = explain.minimal_hitting_sets
+
+    def recording(family, start=None):
+        family = list(family)
+        received.append(family)
+        return original(family, start)
+
+    monkeypatch.setattr(explain, "minimal_hitting_sets", recording)
+    rng = random.Random(73)
+    for _ in range(30):
+        problem = random_problem(rng, max_features=5)
+        received.clear()
+        _, cxps = enumerate_explanations(problem)
+        handed = [S for family in received for S in family]
+        assert len(handed) == len(cxps)
+        assert sorted(handed, key=sorted) == list(cxps)
+
+
+def _k_of_n_tree(n, k):
+    """[x1 + ... + xn >= k] over binary features, unfolded into a tree."""
+    def grow(depth, ones):
+        if ones >= k:
+            return Leaf(1)
+        if ones + (n - depth) < k:
+            return Leaf(0)
+        return Node(depth, ((frozenset({0}), grow(depth + 1, ones)),
+                            (frozenset({1}), grow(depth + 1, ones + 1))))
+    return DecisionTree(FeatureSpace((2,) * n), grow(0, 0))
+
+
+def test_duality_closed_form_on_the_all_ones_k_of_n_instance():
+    # at the all-ones point of [sum >= 5] over 10 features, the AXps fix any
+    # 5 ones and the CXps free any 6: C(10,5) = 252 and C(10,6) = 210 sets
+    tree = _k_of_n_tree(10, 5)
+    expected = (tuple(frozenset(c) for c in itertools.combinations(range(10), 5)),
+                tuple(frozenset(c) for c in itertools.combinations(range(10), 6)))
+    for model in (tree, tabular_to_omdd(to_tabular(tree))):
+        assert enumerate_explanations(ExplanationProblem.of(model, (1,) * 10)) == expected
 
 
 def test_relevancy_k1(k1_problem):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from svaudit.models import (
     DTNode,
     ExplanationProblem,
     FeatureSpace,
+    Omdd,
     dt_to_tabular,
     find_counterexample,
     sum_kappa_over_cube,
@@ -201,6 +203,26 @@ def _shared_chain_doc(m):
     nodes += [{"id": m, "class": 0}, {"id": m + 1, "class": 1}]
     return {"type": "dt", "features": [{"name": f"x{i}", "domain": 2} for i in range(1, m + 1)],
             "classes": [0, 1], "nodes": nodes}
+
+
+def test_loaded_copies_compare_and_hash_by_their_node_lists():
+    # the verdicts are kept as bools: a failing assert would otherwise print
+    # the repr of a 24-feature shared chain, which spells out every path
+    m = 24
+    a, b = (model_from_dict(_shared_chain_doc(m)) for _ in range(2))
+    start = time.perf_counter()
+    equal, same_hash = a == b, hash(a) == hash(b)
+    elapsed = time.perf_counter() - start
+    assert equal and same_hash and elapsed < 0.1
+    doc = _shared_chain_doc(m)
+    doc["nodes"][-1]["class"] = 2
+    doc["classes"].append(2)
+    differs = model_from_dict(doc) != a
+    assert differs
+    omdd = tabular_to_omdd(dt_to_tabular(model_from_dict(_shared_chain_doc(4))))
+    assert omdd != DecisionTree(omdd.space, omdd.root)
+    assert omdd != Omdd(omdd.space, (3, 2, 1, 0), omdd.root)
+    assert omdd == Omdd(omdd.space, omdd.order, omdd.root)
 
 
 def test_shared_subtrees_cost_the_node_count_not_the_path_count():
