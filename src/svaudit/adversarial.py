@@ -2,10 +2,10 @@
 
 An adversarial set is a feature set A together with a witness point that
 differs from the instance on exactly A and receives a different class. With
-the distance budget left unbounded, the subset-minimal adversarial sets
-coincide with the contrastive explanations, and their union with the
-relevant features; the tests exercise both equalities against independent
-enumeration.
+the distance budget left unbounded, the subset-minimal adversarial sets are
+exactly the contrastive explanations (CXps), so they come from the duality
+engine of ``explain`` and cost follows the CXp count, not the 2^m subsets.
+The tests check this against independent brute-force enumeration.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .errors import NoSolutionError
+from .explain import enumerate_explanations
 from .models import ExplanationProblem
 
 
@@ -61,42 +63,39 @@ def find_witness(problem: ExplanationProblem, A):
     return None
 
 
-def minimal_adversarial_sets(problem: ExplanationProblem):
-    """All subset-minimal adversarial change-sets, each with one witness.
+def _cxps(problem: ExplanationProblem):
+    # no explanation cap: the adversarial commands never had one
+    return enumerate_explanations(problem, cap=problem.m)[1]
 
-    Sets are visited by size, so any candidate with a smaller adversarial
-    subset is skipped before probing for a witness.
-    """
+
+def minimal_adversarial_sets(problem: ExplanationProblem):
+    """All subset-minimal adversarial change-sets, each with its
+    lexicographically smallest witness: the CXps, one ``find_witness`` each."""
     found = []
-    for size in range(1, problem.m + 1):
-        for combo in itertools.combinations(range(problem.m), size):
-            A = frozenset(combo)
-            if any(B.changed < A for B in found):
-                continue
-            hit = find_witness(problem, A)
-            if hit is not None:
-                found.append(hit)
-    return tuple(sorted(found, key=lambda a: tuple(sorted(a.changed))))
+    for Y in _cxps(problem):
+        hit = find_witness(problem, Y)
+        if hit is None:
+            raise NoSolutionError(f"CXp {sorted(i + 1 for i in Y)} has no flipping witness")
+        found.append(hit)
+    return tuple(found)
 
 
 def min_l0_distance(problem: ExplanationProblem):
     """Smallest number of features whose change can flip the prediction,
     with every witness at that distance.
 
-    A witness always exists: the classifier is non-constant, so some point
-    disagrees with the predicted class and its change-set has size <= m.
+    The distance k is the smallest CXp size: the changed set of a flipping
+    point at distance k is counterfactual-sufficient with no smaller such
+    subset, so it is a size-k CXp, and only those CXps are searched.
     """
-    for k in range(1, problem.m + 1):
-        hits = []
-        for feats in itertools.combinations(range(problem.m), k):
-            changed = frozenset(feats)
-            for x in _points_changed_on(problem, feats):
-                c = problem.model.evaluate(x)
-                if c != problem.predicted:
-                    hits.append(AdversarialSet(changed, x, c))
-        if hits:
-            return k, tuple(sorted(hits, key=lambda a: a.witness))
-    raise AssertionError("non-constant classifier must admit an adversarial example")
+    cxps = _cxps(problem)
+    k = min(len(Y) for Y in cxps)
+    hits = [AdversarialSet(Y, x, c) for Y in cxps if len(Y) == k
+            for x in _points_changed_on(problem, sorted(Y))
+            if (c := problem.model.evaluate(x)) != problem.predicted]
+    if not hits:
+        raise NoSolutionError(f"no flipping point at the smallest CXp size {k}")
+    return k, tuple(sorted(hits, key=lambda a: a.witness))
 
 
 def ae_feature_set(problem: ExplanationProblem) -> frozenset[int]:

@@ -267,8 +267,13 @@ class _DecisionGraph:
     def __hash__(self):
         return hash(self._key())
 
+    # Name the node count, not ``root``: the generated repr would spell out
+    # every root-to-leaf path.
+    def __repr__(self):
+        return f"{type(self).__name__}(space={self.space!r}, nodes={len(self.nodes)})"
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class DecisionTree(_DecisionGraph):
     """Set-labelled decision tree; deterministic, total, read-once per path.
 
@@ -285,7 +290,7 @@ class DecisionTree(_DecisionGraph):
     evaluate = _DecisionGraph.evaluate
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Omdd(_DecisionGraph):
     """Ordered multi-valued decision diagram.
 
@@ -313,6 +318,9 @@ class Omdd(_DecisionGraph):
 
     def _key(self):
         return self.space, self.order, self.nodes
+
+    def __repr__(self):
+        return f"Omdd(space={self.space!r}, order={self.order}, nodes={len(self.nodes)})"
 
 
 Classifier = Union[TabularClassifier, DecisionTree, Omdd]

@@ -21,7 +21,6 @@ import csv
 import io
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -113,6 +112,8 @@ def scan_model(model, sample: Optional[int] = None, seed: int = 0, jobs: int = 1
         indices = sorted(random.Random(seed).sample(range(space.size), sample))
     worker = partial(_scan_worker, model, engine, backend)
     if jobs > 1:
+        # imported here, so a CLI start does not pay for the pool modules
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(worker, indices, chunksize=16))
     else:

@@ -71,13 +71,23 @@ def o_cxps(fn, domains, v):
                   key=lambda s: tuple(sorted(s)))
 
 
-def o_adversarial(fn, domains, v, A):
-    """Does some point differing from v on exactly A flip the class?"""
+def _changed(x, v):
+    return frozenset(i for i, (a, b) in enumerate(zip(x, v)) if a != b)
+
+
+def o_witness(fn, domains, v, A):
+    """Lexicographically smallest point differing from v on exactly A and
+    flipping the class, as (point, class), or None."""
     c = fn(tuple(v))
     for x in all_points(domains):
-        if fn(x) != c and frozenset(i for i in range(len(domains)) if x[i] != v[i]) == A:
-            return True
-    return False
+        if fn(x) != c and _changed(x, v) == A:
+            return x, fn(x)
+    return None
+
+
+def o_adversarial(fn, domains, v, A):
+    """Does some point differing from v on exactly A flip the class?"""
+    return o_witness(fn, domains, v, A) is not None
 
 
 def o_minimal_adversarial_sets(fn, domains, v):
@@ -91,6 +101,16 @@ def o_minimal_adversarial_sets(fn, domains, v):
             if o_adversarial(fn, domains, v, A):
                 found.append(A)
     return sorted(found, key=lambda s: tuple(sorted(s)))
+
+
+def o_min_l0_distance(fn, domains, v):
+    """Smallest Hamming distance from v to a point of another class, and
+    every such point at that distance as (changed set, point, class), in
+    point order."""
+    c = fn(tuple(v))
+    flips = [(_changed(x, v), x, fn(x)) for x in all_points(domains) if fn(x) != c]
+    k = min(len(A) for A, _, _ in flips)
+    return k, [hit for hit in flips if len(hit[0]) == k]
 
 
 def check_mutual_mhs(axps, cxps):
@@ -186,6 +206,18 @@ def random_dt(rng, space, classes=3, stop=0.25):
             leaves(root)
             if len(classes_seen) >= 2:
                 return DecisionTree(space, root)
+
+
+def k_of_n_tree(n, k):
+    """[x1 + ... + xn >= k] over binary features, unfolded into a tree."""
+    def grow(depth, ones):
+        if ones >= k:
+            return DTLeaf(1)
+        if ones + (n - depth) < k:
+            return DTLeaf(0)
+        return DTNode(depth, ((frozenset({0}), grow(depth + 1, ones)),
+                              (frozenset({1}), grow(depth + 1, ones + 1))))
+    return DecisionTree(FeatureSpace((2,) * n), grow(0, 0))
 
 
 def random_dag(rng, space, classes=range(3), stop=0.25, share=0.4):

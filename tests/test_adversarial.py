@@ -1,8 +1,23 @@
 """Minimal l0 adversarial change-sets and their ties to contrastive explanations."""
 
+import itertools
+import os
 import random
+import subprocess
+import sys
 
-from oracle import o_minimal_adversarial_sets, random_problem
+import pytest
+
+from oracle import (
+    k_of_n_tree,
+    o_min_l0_distance,
+    o_minimal_adversarial_sets,
+    o_witness,
+    random_dag,
+    random_problem,
+    random_table,
+)
+from svaudit import adversarial
 from svaudit.adversarial import (
     adversarial_report,
     ae_feature_set,
@@ -11,7 +26,10 @@ from svaudit.adversarial import (
     min_l0_distance,
     minimal_adversarial_sets,
 )
+from svaudit.errors import SvauditError
 from svaudit.explain import enumerate_explanations, relevancy_report
+from svaudit.model_io import model_to_json
+from svaudit.models import ExplanationProblem, FeatureSpace, tabular_to_omdd, to_tabular
 
 
 def test_find_witness_k1(k1_problem):
@@ -142,3 +160,87 @@ def test_min_l0_distance_two():
     assert k == 2
     assert [h.witness for h in hits] == [(0, 0)]
     assert [a.changed for a in minimal_adversarial_sets(problem)] == [frozenset({0, 1})]
+
+
+def test_adversarial_engine_matches_the_brute_force_oracles():
+    # tables, trees with shared subtrees and OMDDs under random orders; the
+    # whole witness lists are compared, not only the changed sets
+    rng = random.Random(211)
+    dag_rng = random.Random(223)
+    for _ in range(40):
+        m = rng.randint(1, 5)
+        space = FeatureSpace(tuple(rng.randint(2, 4) for _ in range(m)))
+        table = random_table(rng, space=space, classes=rng.randint(2, 4))
+        order = list(range(m))
+        rng.shuffle(order)
+        v = tuple(rng.randrange(d) for d in space.domain_sizes)
+        for model in (table, tabular_to_omdd(table, order), random_dag(dag_rng, space)):
+            fn, domains = model.evaluate, space.domain_sizes
+            problem = ExplanationProblem.of(model, v)
+            sets = minimal_adversarial_sets(problem)
+            expected = o_minimal_adversarial_sets(fn, domains, v)
+            assert [a.changed for a in sets] == expected
+            assert [(a.witness, a.class_value) for a in sets] \
+                == [o_witness(fn, domains, v, A) for A in expected]
+            k, hits = min_l0_distance(problem)
+            assert (k, [(h.changed, h.witness, h.class_value) for h in hits]) \
+                == o_min_l0_distance(fn, domains, v)
+
+
+def test_all_ones_k_of_n_adversarial_sets_are_the_six_subsets():
+    # at the all-ones point of [sum >= 5] over 10 features the CXps, hence
+    # the minimal adversarial sets, are the C(10,6) = 210 six-subsets
+    tree = k_of_n_tree(10, 5)
+    expected = [frozenset(c) for c in itertools.combinations(range(10), 6)]
+    for model in (tree, tabular_to_omdd(to_tabular(tree))):
+        problem = ExplanationProblem.of(model, (1,) * 10)
+        sets = minimal_adversarial_sets(problem)
+        assert [a.changed for a in sets] == expected
+        assert all(a.witness == tuple(0 if i in a.changed else 1 for i in range(10))
+                   and a.class_value == 0 for a in sets)
+        k, hits = min_l0_distance(problem)
+        assert k == 6
+        assert sorted(hits, key=lambda a: sorted(a.changed)) == list(sets)
+
+
+def test_find_witness_runs_once_per_cxp(monkeypatch):
+    calls = []
+    original = adversarial.find_witness
+
+    def recording(problem, A):
+        calls.append(frozenset(A))
+        return original(problem, A)
+
+    monkeypatch.setattr(adversarial, "find_witness", recording)
+    rng = random.Random(227)
+    for _ in range(20):
+        problem = random_problem(rng, max_features=5)
+        calls.clear()
+        sets = minimal_adversarial_sets(problem)
+        assert calls == list(enumerate_explanations(problem)[1]) == [a.changed for a in sets]
+
+
+def test_cxp_without_a_witness_is_a_domain_error(monkeypatch, k1_problem):
+    monkeypatch.setattr(adversarial, "find_witness", lambda problem, A: None)
+    with pytest.raises(SvauditError, match="no flipping witness"):
+        minimal_adversarial_sets(k1_problem)
+    monkeypatch.setattr(adversarial, "_cxps", lambda problem: (frozenset({1}),))
+    with pytest.raises(SvauditError, match="no flipping point"):
+        min_l0_distance(k1_problem)
+
+
+def test_cli_exits_1_when_a_cxp_has_no_witness(tmp_path, k1_table):
+    path = tmp_path / "model.json"
+    path.write_text(model_to_json(k1_table), encoding="utf-8")
+    script = ("import sys; from svaudit import adversarial, cli; "
+              "adversarial.find_witness = lambda problem, A: None; "
+              "sys.exit(cli.main(sys.argv[1:]))")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script, "adversarial", "--model", str(path),
+                           "--instance", "1,0,0"], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("svaudit: CXp [1] has no flipping witness")
+    assert proc.stdout == ""

@@ -241,3 +241,16 @@ def test_malformed_model_exits_1_without_traceback(tmp_path, name):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("svaudit: ")
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # ``scan --jobs N`` imports the pool only when N > 1
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    script = ("import sys, svaudit.cli; "
+              "print(sorted(k for k in ('concurrent.futures', 'multiprocessing') "
+              "if k in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

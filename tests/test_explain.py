@@ -5,7 +5,14 @@ import random
 
 import pytest
 
-from oracle import check_mutual_mhs, o_axps, o_cxps, o_minimal_hitting_sets, random_problem
+from oracle import (
+    check_mutual_mhs,
+    k_of_n_tree,
+    o_axps,
+    o_cxps,
+    o_minimal_hitting_sets,
+    random_problem,
+)
 from svaudit import explain
 from svaudit.errors import CapacityError, InputError
 from svaudit.explain import (
@@ -19,11 +26,8 @@ from svaudit.explain import (
     relevancy_report,
 )
 from svaudit.models import (
-    DecisionTree,
     ExplanationProblem,
     FeatureSpace,
-    Leaf,
-    Node,
     TabularClassifier,
     tabular_to_omdd,
     to_tabular,
@@ -221,22 +225,10 @@ def test_duality_hands_each_cxp_to_the_hitting_sets_once(monkeypatch):
         assert sorted(handed, key=sorted) == list(cxps)
 
 
-def _k_of_n_tree(n, k):
-    """[x1 + ... + xn >= k] over binary features, unfolded into a tree."""
-    def grow(depth, ones):
-        if ones >= k:
-            return Leaf(1)
-        if ones + (n - depth) < k:
-            return Leaf(0)
-        return Node(depth, ((frozenset({0}), grow(depth + 1, ones)),
-                            (frozenset({1}), grow(depth + 1, ones + 1))))
-    return DecisionTree(FeatureSpace((2,) * n), grow(0, 0))
-
-
 def test_duality_closed_form_on_the_all_ones_k_of_n_instance():
     # at the all-ones point of [sum >= 5] over 10 features, the AXps fix any
     # 5 ones and the CXps free any 6: C(10,5) = 252 and C(10,6) = 210 sets
-    tree = _k_of_n_tree(10, 5)
+    tree = k_of_n_tree(10, 5)
     expected = (tuple(frozenset(c) for c in itertools.combinations(range(10), 5)),
                 tuple(frozenset(c) for c in itertools.combinations(range(10), 6)))
     for model in (tree, tabular_to_omdd(to_tabular(tree))):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from oracle import random_dag, random_dt
-from svaudit.adversarial import min_l0_distance, minimal_adversarial_sets
+from svaudit.adversarial import adversarial_report, min_l0_distance, minimal_adversarial_sets
 from svaudit.cli import main
 from svaudit.explain import enumerate_explanations, relevancy_report
 from svaudit.families import FAMILY_IDS
@@ -242,3 +242,26 @@ def test_shared_subtrees_cost_the_node_count_not_the_path_count():
     problem = ExplanationProblem.of(model_from_dict(_shared_chain_doc(m)), (1,) * m)
     relevancy = relevancy_report(problem)
     assert relevancy.axps == relevancy.cxps == (frozenset({m - 1}),)
+
+
+def test_adversarial_sets_on_the_shared_chain_cost_the_cxps_not_the_subsets():
+    # the one CXp {x24} is found without probing the 2^24 feature subsets,
+    # and the 20-feature explanation cap does not apply
+    m = 24
+    problem = ExplanationProblem.of(model_from_dict(_shared_chain_doc(m)), (1,) * m)
+    start = time.perf_counter()
+    report = adversarial_report(problem)
+    elapsed = time.perf_counter() - start
+    assert report == {"min_l0": 1, "minimal_sets": [
+        {"changed": [m], "witness": [1] * (m - 1) + [0], "class": 0}]}
+    assert elapsed < 0.5
+
+
+def test_graph_repr_names_the_node_count_not_every_path():
+    dt = model_from_dict(_shared_chain_doc(24))
+    text = repr(dt)
+    assert len(text) < 1024
+    assert text.startswith("DecisionTree(space=FeatureSpace(") and text.endswith("nodes=26)")
+    omdd = tabular_to_omdd(dt_to_tabular(model_from_dict(_shared_chain_doc(4))), (3, 2, 1, 0))
+    assert repr(omdd).startswith("Omdd(space=FeatureSpace(")
+    assert repr(omdd).endswith(f"order=(3, 2, 1, 0), nodes={len(omdd.nodes)})")
