@@ -63,8 +63,7 @@ def _load_problem(args) -> ExplanationProblem:
     return ExplanationProblem.of(model, point)
 
 
-def _sv_backend(method: str) -> str:
-    return {"brute": "enumerate", "paths": "paths", "auto": "auto"}[method]
+_SV_BACKEND = {"brute": "enumerate", "paths": "paths", "auto": "auto"}  # by --method
 
 
 def _cmd_explain(args) -> None:
@@ -73,7 +72,7 @@ def _cmd_explain(args) -> None:
 
 
 def _cmd_shapley(args) -> None:
-    report = shapley_values(_load_problem(args), backend=_sv_backend(args.method))
+    report = shapley_values(_load_problem(args), backend=_SV_BACKEND[args.method])
     _emit(_json_text(report.to_json_dict()), args.out)
 
 
@@ -83,7 +82,7 @@ def _cmd_adversarial(args) -> None:
 
 def _cmd_validate(args) -> None:
     problem = _load_problem(args)
-    report = shapley_values(problem, backend=_sv_backend(args.method))
+    report = shapley_values(problem, backend=_SV_BACKEND[args.method])
     doc = {
         "predicted": problem.predicted,
         "phi_empty": rat_json(report.phi_empty),

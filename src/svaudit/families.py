@@ -89,11 +89,7 @@ def _cells_b(a, s, x):
     return a if x[0] == 1 else s[2 * x[1] + x[2]]
 
 
-def _cells_c(a, s, x):
-    return a if x[0] == 1 else s[3 * x[1] + x[2]]
-
-
-def _cells_c5(a, s, x):
+def _cells_c(a, s, x):  # also c5, whose x2 takes two values instead of three
     return a if x[0] == 1 else s[3 * x[1] + x[2]]
 
 
@@ -126,7 +122,7 @@ _FAMILIES = {
                                + 5 * s[5] + 5 * s[6] + 5 * s[7] + 26 * s[8]), 54, _cells_c),
     "c5": _FamilyDef(6, (2, 2, 3), (1, 1, 2), _sv_c5,
                      lambda s: (2 * s[0] + 2 * s[1] + 5 * s[2] + 4 * s[3] + 4 * s[4]
-                                + 19 * s[5]), 36, _cells_c5),
+                                + 19 * s[5]), 36, _cells_c),
     "d": _FamilyDef(4, (2, 2, 2, 3), (1, 1, 1, 2), _sv_d,
                     lambda s: 3 * s[0] + 5 * s[1] + 5 * s[2] + 11 * s[3], 144, _cells_d,
                     alpha_forbidden=(0,)),
@@ -142,6 +138,7 @@ _REFERENCE_PICKS = {
 }
 
 FAMILY_IDS = tuple(_FAMILIES)
+SIGMA_MAX = 12  # the "grid" and "random" strategies draw sigmas from 0..SIGMA_MAX
 
 
 def _family_def(family: str) -> _FamilyDef:
@@ -222,11 +219,11 @@ def _acceptable(fam, alpha, sigmas) -> bool:
 
 
 def solve_family(family: str, strategy: str = "paper", seed=None,
-                 budget: int = 100000, sigma_max: int = 12, psi: int = 1) -> FamilySpec:
+                 budget: int = 100000, psi: int = 1) -> FamilySpec:
     """Find integer parameters with Sv(1)=0 and every other Sv nonzero.
 
     Strategies: ``paper`` returns the pinned reference picks; ``grid``
-    scans sigma vectors lexicographically over 0..sigma_max and keeps the
+    scans sigma vectors lexicographically over 0..SIGMA_MAX and keeps the
     first hit (deterministic, seed unused); ``random`` draws seeded uniform
     sigma vectors. alpha is derived from the family's closed form and must
     come out integral. Exceeding ``budget`` candidates raises NoSolutionError.
@@ -237,10 +234,10 @@ def solve_family(family: str, strategy: str = "paper", seed=None,
         alpha, sigmas = _REFERENCE_PICKS[key]
         return FamilySpec(key, alpha, sigmas, psi=psi)
     if strategy == "grid":
-        candidates = itertools.product(range(sigma_max + 1), repeat=fam.arity)
+        candidates = itertools.product(range(SIGMA_MAX + 1), repeat=fam.arity)
     elif strategy == "random":
         rng = random.Random(seed)
-        candidates = (tuple(rng.randint(0, sigma_max) for _ in range(fam.arity))
+        candidates = (tuple(rng.randint(0, SIGMA_MAX) for _ in range(fam.arity))
                       for _ in itertools.count())
     else:
         raise InputError(f"unknown strategy {strategy!r}")

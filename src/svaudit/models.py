@@ -13,6 +13,11 @@ Trees and diagrams share one read-once graph core: one ``Node`` and one
 first, and one pass per computation over that list. A tree may share
 subtrees, so every cost is polynomial in the node count, not the path count.
 
+One reducer (merge isomorphic nodes, join the edges that reach one child,
+elide a node left with one child) builds every OMDD: ``tabular_to_omdd``
+collapses table axes through it, ``reduce_omdd`` folds a node list through it,
+and ``is_reduced`` asks whether that fold changes the diagram.
+
 All structures are immutable after construction and safe to share across
 concurrent readers. Features are 0-based internally; classes are plain ints
 (they embed into exact rationals downstream).
@@ -21,6 +26,7 @@ concurrent readers. Features are 0-based internally; classes are plain ints
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from math import prod
 from typing import Iterator, Optional, Union
@@ -114,6 +120,13 @@ def cube_size(space: FeatureSpace, S) -> int:
     return prod(d for i, d in enumerate(space.domain_sizes) if i not in S)
 
 
+def _class_value(c) -> int:
+    try:
+        return operator.index(c)
+    except TypeError:
+        raise InputError(f"class {c!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class TabularClassifier:
     """Complete truth table: one class value per point, mixed-radix order."""
@@ -122,7 +135,7 @@ class TabularClassifier:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(c) for c in self.values))
+        object.__setattr__(self, "values", tuple(map(_class_value, self.values)))
         if len(self.values) != self.space.size:
             raise InputError(
                 f"table has {len(self.values)} rows, space has {self.space.size} points")
@@ -146,12 +159,17 @@ class Leaf:
     class_value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Node:
     """Tests one feature; each edge carries the set of values that follow it."""
 
     feature: int
     edges: tuple[tuple[frozenset[int], Union["Node", Leaf]], ...]
+
+    # Name the edge count, not the children: the generated repr would spell
+    # out every path below a shared node.
+    def __repr__(self):
+        return f"Node(feature={self.feature}, edges={len(self.edges)})"
 
 
 # The names trees and diagrams used before they shared one node type.
@@ -202,8 +220,9 @@ class _DecisionGraph:
             if id(node) in post:
                 return post[id(node)]
             if isinstance(node, Leaf):
-                classes.add(int(node.class_value))
-                nodes.append((None, node.class_value))
+                c = _class_value(node.class_value)
+                classes.add(c)
+                nodes.append((None, c))
                 tested.append(0)
             elif not isinstance(node, Node):
                 raise InputError(f"unexpected node object {node!r}")
@@ -474,116 +493,67 @@ def to_tabular(model: Classifier) -> TabularClassifier:
 dt_to_tabular = omdd_to_tabular = to_tabular
 
 
+def _reducer():
+    """The reduction rule (Bryant, 1986): ``leaf(c)`` and ``node(f, [(values,
+    child), ...])`` over already-reduced children. ``node`` joins the edges
+    that reach one child (in the order children first occur), returns the
+    child when no other is left, and else the one node with these edges."""
+    unique = {}
+
+    def leaf(c):
+        if c not in unique:
+            unique[c] = Leaf(c)
+        return unique[c]
+
+    def node(f, edges):
+        groups = {}
+        for values, child in edges:
+            groups.setdefault(id(child), (child, set()))[1].update(values)
+        if len(groups) == 1:
+            return child
+        edges = tuple((frozenset(vals), ch) for ch, vals in groups.values())
+        key = (f, frozenset((vals, id(ch)) for vals, ch in edges))
+        if key not in unique:
+            unique[key] = Node(f, edges)
+        return unique[key]
+
+    return leaf, node
+
+
 def tabular_to_omdd(table: TabularClassifier, order=None) -> Omdd:
     """Reduced canonical OMDD of a complete table under the given variable order.
 
-    Recursive cofactor construction with hash-consing: isomorphic subfunctions
-    share one node, and a node whose every value leads to the same child is
-    elided. The result is therefore reduced by construction.
+    Collapses the table's axes one at a time, the last feature of the order
+    first: each group of entries along the axis becomes one reducer ``node``.
     """
     space = table.space
     order = tuple(order) if order is not None else tuple(range(space.m))
     if sorted(order) != list(range(space.m)):
         raise InputError(f"order {order} is not a permutation of the features")
-
-    # value vector arranged with order[0] as the most significant axis
-    perm_points = itertools.product(*(range(space.domain_sizes[f]) for f in order))
-    vec = []
-    for q in perm_points:
-        p = [0] * space.m
-        for f, x in zip(order, q):
-            p[f] = x
-        vec.append(table.values[space.index(p)])
-
-    unique = {}
-
-    def intern(key, make):
-        if key not in unique:
-            unique[key] = make()
-        return unique[key]
-
-    def build(vec, pos):
-        first = vec[0]
-        if all(c == first for c in vec):
-            return intern(("t", first), lambda: Leaf(first))
-        d = space.domain_sizes[order[pos]]
-        chunk = len(vec) // d
-        children = [build(vec[k * chunk:(k + 1) * chunk], pos + 1) for k in range(d)]
-        groups = {}
-        for val, child in enumerate(children):
-            groups.setdefault(id(child), (child, []))[1].append(val)
-        if len(groups) == 1:
-            return children[0]
-        edges = tuple((frozenset(vals), child) for child, vals in groups.values())
-        key = ("n", order[pos], tuple(sorted((tuple(sorted(vs)), id(ch)) for vs, ch in edges)))
-        return intern(key, lambda: Node(order[pos], edges))
-
-    return Omdd(space, order, build(tuple(vec), 0))
+    leaf, node = _reducer()
+    cells = [leaf(c) for c in table.values]
+    sizes = list(space.domain_sizes)  # a collapsed axis keeps size 1
+    for f in reversed(order):
+        d, stride = sizes[f], prod(sizes[f + 1:])
+        sizes[f] = 1
+        block = d * stride
+        cells = [node(f, [((x,), c) for x, c in enumerate(cells[i:i + block:stride])])
+                 for start in range(0, len(cells), block)
+                 for i in range(start, start + stride)]
+    return Omdd(space, order, cells[0])
 
 
 def reduce_omdd(omdd: Omdd) -> Omdd:
-    """Canonical reduced form: merge isomorphic nodes, join parallel edges to
-    one child, elide nodes whose whole domain reaches a single child."""
-    unique = {}
-
-    def intern(key, make):
-        if key not in unique:
-            unique[key] = make()
-        return unique[key]
-
-    memo = {}
-
-    def rebuild(node):
-        if id(node) in memo:
-            return memo[id(node)]
-        if isinstance(node, Leaf):
-            out = intern(("t", node.class_value), lambda: Leaf(node.class_value))
-        else:
-            groups = {}
-            for values, child in node.edges:
-                c = rebuild(child)
-                groups.setdefault(id(c), (c, set()))[1].update(values)
-            if len(groups) == 1:
-                out = next(iter(groups.values()))[0]
-            else:
-                edges = tuple((frozenset(vals), child) for child, vals in groups.values())
-                key = ("n", node.feature,
-                       tuple(sorted((tuple(sorted(vs)), id(ch)) for vs, ch in edges)))
-                out = intern(key, lambda: Node(node.feature, edges))
-        memo[id(node)] = out
-        return out
-
-    return Omdd(omdd.space, omdd.order, rebuild(omdd.root))
+    """Canonical reduced form: the stored children-first node list folded
+    through the reducer."""
+    leaf, node = _reducer()
+    out = []
+    for f, edges in omdd.nodes:
+        out.append(leaf(edges) if f is None
+                   else node(f, [(values, out[c]) for values, c in edges]))
+    return Omdd(omdd.space, omdd.order, out[-1])
 
 
 def is_reduced(omdd: Omdd) -> bool:
-    """True iff no two distinct nodes are structurally identical and no node
-    funnels its whole domain into one child."""
-    keys = set()
-    seen = set()
-    ok = True
-    canon = {}
-
-    def walk(node):
-        nonlocal ok
-        if id(node) in seen:
-            return
-        seen.add(id(node))
-        if isinstance(node, Leaf):
-            key = ("t", node.class_value)
-        else:
-            children = []
-            for values, child in node.edges:
-                walk(child)
-                children.append(canon[id(child)])
-            if len(set(children)) < len(children) or len(set(children)) == 1:
-                ok = False  # parallel edges to one child, or a redundant node
-            key = ("n", node.feature,
-                   tuple(sorted((tuple(sorted(vs)), canon[id(ch)]) for vs, ch in node.edges)))
-        if key in keys:
-            ok = False
-        keys.add(key)
-        canon[id(node)] = key
-
-    walk(omdd.root)
-    return ok
+    """True iff reducing the diagram leaves it as it is (same node list)."""
+    return reduce_omdd(omdd) == omdd

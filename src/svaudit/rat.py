@@ -18,12 +18,12 @@ def rat_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def dec_str(q: Fraction, places: int = DECIMAL_PLACES) -> str:
+def dec_str(q: Fraction) -> str:
     q = Fraction(q)
-    scale = 10 ** places
+    scale = 10 ** DECIMAL_PLACES
     units = (abs(q.numerator) * scale + q.denominator // 2) // q.denominator
     sign = "-" if q < 0 and units else ""
-    return f"{sign}{units // scale}.{units % scale:0{places}d}"
+    return f"{sign}{units // scale}.{units % scale:0{DECIMAL_PLACES}d}"
 
 
 def rat_json(q: Fraction) -> dict:

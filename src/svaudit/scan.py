@@ -66,11 +66,10 @@ class ScanSummary:
         }
 
 
-def analyze_instance(problem: ExplanationProblem, engine: str = "duality",
-                     backend: str = "auto") -> ScanRecord:
+def analyze_instance(problem: ExplanationProblem) -> ScanRecord:
     """Shapley values, relevancy partition and the issue verdict for one instance."""
-    report = shapley_values(problem, backend=backend)
-    relevancy = relevancy_report(problem, engine=engine)
+    report = shapley_values(problem)
+    relevancy = relevancy_report(problem)
     relevant = relevancy.relevant
     irrelevant = relevancy.irrelevant
     v_i = max((abs(report.values[k]) for k in irrelevant), default=None)
@@ -88,14 +87,11 @@ def analyze_instance(problem: ExplanationProblem, engine: str = "duality",
     )
 
 
-def _scan_worker(model, engine, backend, index):
-    point = model.space.point_at(index)
-    return analyze_instance(ExplanationProblem.of(model, point),
-                            engine=engine, backend=backend)
+def _scan_worker(model, index):
+    return analyze_instance(ExplanationProblem.of(model, model.space.point_at(index)))
 
 
-def scan_model(model, sample: Optional[int] = None, seed: int = 0, jobs: int = 1,
-               engine: str = "duality", backend: str = "auto"):
+def scan_model(model, sample: Optional[int] = None, seed: int = 0, jobs: int = 1):
     """Analyze all points of feature space, or a seeded sample without replacement.
 
     Sampling uses ``random.Random(seed).sample`` (Mersenne Twister) over
@@ -110,7 +106,7 @@ def scan_model(model, sample: Optional[int] = None, seed: int = 0, jobs: int = 1
         if sample < 1:
             raise InputError("sample size must be positive")
         indices = sorted(random.Random(seed).sample(range(space.size), sample))
-    worker = partial(_scan_worker, model, engine, backend)
+    worker = partial(_scan_worker, model)
     if jobs > 1:
         # imported here, so a CLI start does not pay for the pool modules
         from concurrent.futures import ProcessPoolExecutor
@@ -236,12 +232,10 @@ def load_consistent_dataset(path) -> Dataset:
     )
 
 
-def build_omdd_from_dataset(dataset: Dataset, default_policy: str = "majority") -> Omdd:
+def build_omdd_from_dataset(dataset: Dataset) -> Omdd:
     """Reduced diagram under column order agreeing with every dataset row;
     points the dataset never mentions get the majority class (ties break
     toward the smallest label)."""
-    if default_policy != "majority":
-        raise InputError(f"unknown completion policy {default_policy!r}")
     space = dataset.space
     counts = Counter(label for _, label in dataset.rows)
     default = min(counts, key=lambda c: (-counts[c], c))

@@ -9,7 +9,8 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-from svaudit.models import DecisionTree, DTLeaf, DTNode, FeatureSpace, TabularClassifier
+from svaudit.errors import InputError
+from svaudit.models import DecisionTree, DTLeaf, DTNode, FeatureSpace, Omdd, TabularClassifier
 
 
 def all_points(domains):
@@ -145,6 +146,38 @@ def o_minimal_hitting_sets(family):
     return sorted(out, key=lambda h: tuple(sorted(h)))
 
 
+def o_is_reduced(omdd):
+    """Reducedness from the definition, by canonical keys over ``root``: no
+    two distinct nodes share a key, and no node sends two edges, or its whole
+    domain, to children with one key."""
+    keys = set()
+    canon = {}
+    ok = True
+
+    def walk(node):
+        nonlocal ok
+        if id(node) in canon:
+            return
+        if isinstance(node, DTLeaf):
+            key = ("t", node.class_value)
+        else:
+            children = []
+            for _, child in node.edges:
+                walk(child)
+                children.append(canon[id(child)])
+            if len(set(children)) < len(children) or len(set(children)) == 1:
+                ok = False  # parallel edges to one child, or a redundant node
+            key = ("n", node.feature,
+                   tuple(sorted((tuple(sorted(vs)), canon[id(ch)]) for vs, ch in node.edges)))
+        if key in keys:
+            ok = False
+        keys.add(key)
+        canon[id(node)] = key
+
+    walk(omdd.root)
+    return ok
+
+
 # ---------------------------------------------------------------------------
 # Random model generators (seeded, deterministic)
 # ---------------------------------------------------------------------------
@@ -246,3 +279,32 @@ def random_dag(rng, space, classes=range(3), stop=0.25, share=0.4):
         root, _ = grow(frozenset(range(space.m)))
         if isinstance(root, DTNode) and len(seen) >= 2:
             return DecisionTree(space, root)
+
+
+def random_raw_omdd(rng, max_features=6, domain_pool=(2, 3, 4), classes=3):
+    """Random ordered diagram (non-constant), often not reduced: it may hold
+    duplicate leaves, structurally duplicate nodes, parallel edges, redundant
+    nodes and shared children, under a random variable order."""
+    while True:
+        m = rng.randint(1, max_features)
+        space = FeatureSpace(tuple(rng.choice(domain_pool) for _ in range(m)))
+        order = list(range(m))
+        rng.shuffle(order)
+        pool = [DTLeaf(c) for c in range(classes) for _ in range(2)]
+        for f in reversed(order):  # children are built before their parents
+            layer = []
+            for _ in range(rng.randint(1, 3)):
+                draw = rng.random()
+                if layer and draw < 0.2:  # a structural twin, as a new object
+                    layer.append(DTNode(f, rng.choice(layer).edges))
+                    continue
+                lone = rng.choice(pool)  # every edge goes here in a redundant node
+                groups = _partition(rng, range(space.domain_sizes[f]))
+                layer.append(DTNode(f, tuple((g, lone if draw < 0.3 else rng.choice(pool))
+                                             for g in groups)))
+            pool += layer
+        root = rng.choice([n for n in pool if isinstance(n, DTNode)])
+        try:
+            return Omdd(space, tuple(order), root)
+        except InputError:  # the drawn diagram is constant
+            continue

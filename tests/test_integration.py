@@ -265,3 +265,11 @@ def test_graph_repr_names_the_node_count_not_every_path():
     omdd = tabular_to_omdd(dt_to_tabular(model_from_dict(_shared_chain_doc(4))), (3, 2, 1, 0))
     assert repr(omdd).startswith("Omdd(space=FeatureSpace(")
     assert repr(omdd).endswith(f"order=(3, 2, 1, 0), nodes={len(omdd.nodes)})")
+
+
+def test_node_repr_names_the_edge_count_not_every_path():
+    # the m = 16 chain's root has 2^16 paths below it
+    root = model_from_dict(_shared_chain_doc(16)).root
+    text = repr(root)
+    assert len(text) < 1024
+    assert text == "Node(feature=0, edges=2)"

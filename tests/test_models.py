@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from oracle import all_points, random_dt, random_space, random_table
+from oracle import all_points, o_is_reduced, random_dt, random_raw_omdd, random_space, random_table
 from svaudit.errors import CapacityError, InputError
-from svaudit.model_io import load_model, model_from_dict, model_to_dict, save_model
+from svaudit.model_io import load_model, model_from_dict, model_to_dict, model_to_json, save_model
 from svaudit.models import (
     DecisionTree,
     DTLeaf,
@@ -27,6 +27,7 @@ from svaudit.models import (
     reduce_omdd,
     sum_kappa_over_cube,
     tabular_to_omdd,
+    to_tabular,
 )
 
 K1_ROWS = [  # the 8-row truth table of the first worked example
@@ -87,6 +88,22 @@ def test_constant_classifiers_rejected():
         DecisionTree(space, DTLeaf(0))
     with pytest.raises(InputError):
         DecisionTree(space, DTNode(0, ((frozenset({0, 1}), DTLeaf(1)),)))
+
+
+def test_classes_must_be_integers():
+    space = FeatureSpace((2, 2))
+    with pytest.raises(InputError, match="not an integer"):
+        TabularClassifier(space, (0, 1.5, 1, 0))
+    with pytest.raises(InputError, match="not an integer"):
+        TabularClassifier(space, (0, "1", 1, 0))
+    half = Node(1, ((frozenset({0}), Leaf(0)), (frozenset({1}), Leaf(1.5))))
+    with pytest.raises(InputError, match="not an integer"):
+        DecisionTree(space, Node(0, ((frozenset({0}), half), (frozenset({1}), Leaf(0)))))
+    with pytest.raises(InputError, match="not an integer"):
+        Omdd(space, (0, 1), half)
+    # integer types other than int are taken as their int value
+    table = TabularClassifier(space, (False, True, 1, 0))
+    assert table.values == (0, 1, 1, 0) and all(type(c) is int for c in table.values)
 
 
 def test_dt_structural_validation():
@@ -260,6 +277,25 @@ def test_reduce_merges_parallel_edges():
     reduced = reduce_omdd(raw)
     assert is_reduced(reduced)
     assert reduced == reduce_omdd(reduced)
+
+
+def test_one_reducer_agrees_with_the_reference_on_random_diagrams():
+    # draws hold duplicate leaves and nodes, parallel edges, redundant nodes
+    # and shared children under random orders (m 1-6, domains 2-4)
+    rng = random.Random(707)
+    unreduced = 0
+    for _ in range(500):
+        raw = random_raw_omdd(rng)
+        verdict = is_reduced(raw)
+        assert verdict == o_is_reduced(raw)
+        unreduced += not verdict
+        reduced = reduce_omdd(raw)
+        assert o_is_reduced(reduced) and is_reduced(reduced)
+        assert reduce_omdd(reduced) == reduced
+        table = to_tabular(raw)
+        assert to_tabular(reduced).values == table.values
+        assert model_to_json(reduced) == model_to_json(tabular_to_omdd(table, raw.order))
+    assert 100 < unreduced < 500  # both verdicts are exercised
 
 
 def test_omdd_structural_validation():
