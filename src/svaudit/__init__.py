@@ -55,6 +55,7 @@ from .models import (
     reduce_omdd,
     sum_kappa_over_cube,
     tabular_to_omdd,
+    to_omdd,
     to_tabular,
 )
 from .scan import (

@@ -17,7 +17,7 @@ from .adversarial import adversarial_report
 from .errors import SvauditError
 from .explain import relevancy_report
 from .families import FAMILY_IDS, certificate, instantiate, solve_family
-from .models import ExplanationProblem, FeatureSpace, tabular_to_omdd, to_tabular
+from .models import ExplanationProblem, FeatureSpace, to_omdd, to_tabular
 from .rat import rat_json, rat_str
 from .scan import (
     build_omdd_from_dataset,
@@ -131,9 +131,8 @@ def _cmd_build_omdd(args) -> None:
 
 def _cmd_convert(args) -> None:
     model = model_io.load_model(args.model)
-    table = to_tabular(model)
     if args.to == "table":
-        out_model = table
+        out_model = to_tabular(model)
     else:
         order = None
         if args.order is not None:
@@ -141,9 +140,9 @@ def _cmd_convert(args) -> None:
                 order = tuple(int(tok) - 1 for tok in args.order.split(","))
             except ValueError:
                 raise UsageError(f"--order {args.order!r} is not a comma-separated integer list")
-            if sorted(order) != list(range(table.space.m)):
-                raise UsageError(f"--order must be a permutation of 1..{table.space.m}")
-        out_model = tabular_to_omdd(table, order)
+            if sorted(order) != list(range(model.space.m)):
+                raise UsageError(f"--order must be a permutation of 1..{model.space.m}")
+        out_model = to_omdd(model, order)
     _emit(model_io.model_to_json(out_model), args.out)
 
 
@@ -215,7 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_build_omdd)
 
-    p = sub.add_parser("convert", help="convert between representations")
+    p = sub.add_parser(
+        "convert", help="convert between representations",
+        description="Write the model as a complete table, or as its reduced OMDD. A table "
+                    "becomes an OMDD by collapsing its axes; a tree or a diagram by one "
+                    "pass over its nodes, without building the table.")
     p.add_argument("--model", required=True)
     p.add_argument("--to", required=True, choices=("table", "omdd"))
     p.add_argument("--order", default=None, help="OMDD variable order, e.g. 1,3,2")

@@ -14,9 +14,13 @@ first, and one pass per computation over that list. A tree may share
 subtrees, so every cost is polynomial in the node count, not the path count.
 
 One reducer (merge isomorphic nodes, join the edges that reach one child,
-elide a node left with one child) builds every OMDD: ``tabular_to_omdd``
-collapses table axes through it, ``reduce_omdd`` folds a node list through it,
-and ``is_reduced`` asks whether that fold changes the diagram.
+elide a node left with one child) builds every OMDD. ``to_omdd`` (also
+``tabular_to_omdd``) collapses a table's axes through it, and folds a tree's
+or a diagram's node list through it, children first, under any variable
+order: where a child starts earlier in the order than its parent, the fold
+splits on that feature (Bryant's apply), so no table is built. ``reduce_omdd``
+is that fold under the diagram's own order, and ``is_reduced`` asks whether
+it changes the diagram.
 
 All structures are immutable after construction and safe to share across
 concurrent readers. Features are 0-based internally; classes are plain ints
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import weakref
 from dataclasses import dataclass, field
 from math import prod
 from typing import Iterator, Optional, Union
@@ -159,15 +164,16 @@ class Leaf:
     class_value: int
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Node:
     """Tests one feature; each edge carries the set of values that follow it."""
 
     feature: int
     edges: tuple[tuple[frozenset[int], Union["Node", Leaf]], ...]
 
-    # Name the edge count, not the children: the generated repr would spell
-    # out every path below a shared node.
+    # Compare and hash by identity (``eq=False``) and name the edge count,
+    # not the children: the generated methods would walk every path below a
+    # shared node.
     def __repr__(self):
         return f"Node(feature={self.feature}, edges={len(self.edges)})"
 
@@ -316,7 +322,7 @@ class Omdd(_DecisionGraph):
     Edges may skip layers but only move to strictly later positions of the
     variable order (or to a terminal). Construction validates ordering,
     determinism and totality; canonical reducedness is the builder's job
-    (see ``tabular_to_omdd``/``reduce_omdd``, checked by ``is_reduced``).
+    (see ``to_omdd``/``reduce_omdd``, checked by ``is_reduced``).
     No computation reads the order: it constrains and serializes the diagram.
     """
 
@@ -493,17 +499,22 @@ def to_tabular(model: Classifier) -> TabularClassifier:
 dt_to_tabular = omdd_to_tabular = to_tabular
 
 
-def _reducer():
+def _reducer(unique):
     """The reduction rule (Bryant, 1986): ``leaf(c)`` and ``node(f, [(values,
     child), ...])`` over already-reduced children. ``node`` joins the edges
     that reach one child (in the order children first occur), returns the
-    child when no other is left, and else the one node with these edges."""
-    unique = {}
+    child when no other is left, and else the one node with these edges.
+
+    ``unique`` is the hash-cons table, empty at the start: a ``dict``, or a
+    ``weakref.WeakValueDictionary`` for a build whose intermediate nodes die
+    before it ends. A live entry holds its children, so the ids in its key
+    stay those of live nodes."""
 
     def leaf(c):
-        if c not in unique:
-            unique[c] = Leaf(c)
-        return unique[c]
+        out = unique.get(c)
+        if out is None:
+            out = unique[c] = Leaf(c)
+        return out
 
     def node(f, edges):
         groups = {}
@@ -513,25 +524,33 @@ def _reducer():
             return child
         edges = tuple((frozenset(vals), ch) for ch, vals in groups.values())
         key = (f, frozenset((vals, id(ch)) for vals, ch in edges))
-        if key not in unique:
-            unique[key] = Node(f, edges)
-        return unique[key]
+        out = unique.get(key)
+        if out is None:
+            out = unique[key] = Node(f, edges)
+        return out
 
     return leaf, node
 
 
-def tabular_to_omdd(table: TabularClassifier, order=None) -> Omdd:
-    """Reduced canonical OMDD of a complete table under the given variable order.
+def to_omdd(model: Classifier, order=None) -> Omdd:
+    """Reduced canonical OMDD of a classifier under a variable order (the
+    features in their own order by default).
 
-    Collapses the table's axes one at a time, the last feature of the order
+    A table collapses its axes one at a time, the last feature of the order
     first: each group of entries along the axis becomes one reducer ``node``.
+    A tree or a diagram is folded children first over its stored node list
+    (see ``_fold``), so no table is built and the cost follows the graph and
+    the result, not the point count.
     """
-    space = table.space
+    space = model.space
     order = tuple(order) if order is not None else tuple(range(space.m))
     if sorted(order) != list(range(space.m)):
         raise InputError(f"order {order} is not a permutation of the features")
-    leaf, node = _reducer()
-    cells = [leaf(c) for c in table.values]
+    if not isinstance(model, TabularClassifier):
+        root = _fold(model.nodes, order, space.domain_sizes, weakref.WeakValueDictionary())
+        return Omdd(space, order, root)
+    leaf, node = _reducer({})  # every node built here lives to the end
+    cells = [leaf(c) for c in model.values]
     sizes = list(space.domain_sizes)  # a collapsed axis keeps size 1
     for f in reversed(order):
         d, stride = sizes[f], prod(sizes[f + 1:])
@@ -543,15 +562,81 @@ def tabular_to_omdd(table: TabularClassifier, order=None) -> Omdd:
     return Omdd(space, order, cells[0])
 
 
+# One function object: the traced benchmark finds it under the old name.
+tabular_to_omdd = to_omdd
+
+
+def _fold(nodes, order, sizes, unique):
+    """Root of the reduced OMDD under ``order`` of the read-once graph stored
+    children first in ``nodes``: each stored node goes through ``_merge``
+    once its children are reduced, with ``unique`` as the reducer's table.
+
+    A child's result is dropped after its last parent used it. A split
+    leaves behind the nodes above the cofactors it took, so a fold that may
+    split needs a weak table, which forgets them as they die; an unsplit
+    fold builds no node that dies."""
+    rank = [0] * len(order)
+    for k, f in enumerate(order):
+        rank[f] = k
+    leaf, node = _reducer(unique)
+    last = [0] * len(nodes)  # position of each stored node's last parent
+    for k, (f, edges) in enumerate(nodes):
+        if f is not None:
+            for _, c in edges:
+                last[c] = k
+    out = [None] * len(nodes)
+    for k, (f, edges) in enumerate(nodes):
+        if f is None:
+            out[k] = leaf(edges)
+            continue
+        out[k] = _merge(f, [(values, out[c]) for values, c in edges], {}, rank, sizes, node)
+        for _, c in edges:
+            if last[c] == k:
+                out[c] = None
+    return out[-1]
+
+
+def _merge(f, edges, memo, rank, sizes, node):
+    """Reduced OMDD of "follow the edge whose values hold x_f" over reduced
+    children that do not test f.
+
+    If every child starts later in the order than f, this is one reducer
+    ``node``. Otherwise split on the earliest feature g that starts a child
+    (Bryant's apply; Srinivasan et al., 1990, for many-valued features):
+    cofactor each child on every value of g, which is its g-edge's target
+    if it starts with g and the child itself if not (it cannot test g
+    below its top), and merge each cofactor list again. ``memo`` holds the
+    splits of one stored node, keyed on its children's identities."""
+    g, top = None, rank[f]
+    for _, child in edges:
+        if type(child) is Node and rank[child.feature] < top:
+            g, top = child.feature, rank[child.feature]
+    if g is None:
+        return node(f, edges)
+    key = tuple(child for _, child in edges)
+    out = memo.get(key)
+    if out is None:
+        d = sizes[g]
+        cofactors = []
+        for values, child in edges:
+            by_value = [child] * d
+            if type(child) is Node and child.feature == g:
+                for vals, grandchild in child.edges:
+                    for x in vals:
+                        by_value[x] = grandchild
+            cofactors.append((values, by_value))
+        out = memo[key] = node(g, [
+            ((x,), _merge(f, [(values, by_value[x]) for values, by_value in cofactors],
+                          memo, rank, sizes, node))
+            for x in range(d)])
+    return out
+
+
 def reduce_omdd(omdd: Omdd) -> Omdd:
-    """Canonical reduced form: the stored children-first node list folded
-    through the reducer."""
-    leaf, node = _reducer()
-    out = []
-    for f, edges in omdd.nodes:
-        out.append(leaf(edges) if f is None
-                   else node(f, [(values, out[c]) for values, c in edges]))
-    return Omdd(omdd.space, omdd.order, out[-1])
+    """Canonical reduced form: ``_fold`` under the diagram's own order, where
+    every child starts later than its parent, so no node is split."""
+    root = _fold(omdd.nodes, omdd.order, omdd.space.domain_sizes, {})
+    return Omdd(omdd.space, omdd.order, root)
 
 
 def is_reduced(omdd: Omdd) -> bool:

@@ -1,7 +1,10 @@
 """End-to-end workflows across representations, files, and commands."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -223,6 +226,45 @@ def test_loaded_copies_compare_and_hash_by_their_node_lists():
     assert omdd != DecisionTree(omdd.space, omdd.root)
     assert omdd != Omdd(omdd.space, (3, 2, 1, 0), omdd.root)
     assert omdd == Omdd(omdd.space, omdd.order, omdd.root)
+
+
+def test_nodes_compare_and_hash_by_identity():
+    # the m = 22 chain's root has 2^22 paths below it
+    m = 22
+    a, b = (model_from_dict(_shared_chain_doc(m)).root for _ in range(2))
+    start = time.perf_counter()
+    hashes = hash(a), hash(b)
+    hash_s = time.perf_counter() - start
+    start = time.perf_counter()
+    same, other = a == a, a == b
+    eq_s = time.perf_counter() - start
+    assert hashes == (hash(a), hash(b)) and same and not other
+    assert hash_s < 0.1 and eq_s < 0.1
+
+
+def test_convert_to_omdd_costs_the_graph_not_the_point_count(capsys, tmp_path):
+    # the 20-feature chain computes x20 over 2^20 points; under the reversed
+    # order its diagram has one node, and no table is built to find it
+    m = 20
+    tree = tmp_path / "chain.dt.json"
+    tree.write_text(json.dumps(_shared_chain_doc(m)), encoding="utf-8")
+    out = tmp_path / "chain.omdd.json"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    order = ",".join(str(f) for f in range(m, 0, -1))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "svaudit.cli", "convert", "--model", str(tree),
+                           "--to", "omdd", "--order", order, "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 1.0
+    omdd = load_model(out)
+    assert omdd.order == tuple(range(m - 1, -1, -1)) and omdd.nonterminal_count() == 1
+    instance = ",".join("1" * m)
+    reports = [run(capsys, "explain", "--model", str(path), "--instance", instance)
+               for path in (tree, out)]
+    assert reports[0] == reports[1] and reports[0][0] == 0
 
 
 def test_shared_subtrees_cost_the_node_count_not_the_path_count():

@@ -5,7 +5,15 @@ import random
 
 import pytest
 
-from oracle import all_points, o_is_reduced, random_dt, random_raw_omdd, random_space, random_table
+from oracle import (
+    all_points,
+    o_is_reduced,
+    random_dag,
+    random_dt,
+    random_raw_omdd,
+    random_space,
+    random_table,
+)
 from svaudit.errors import CapacityError, InputError
 from svaudit.model_io import load_model, model_from_dict, model_to_dict, model_to_json, save_model
 from svaudit.models import (
@@ -27,6 +35,7 @@ from svaudit.models import (
     reduce_omdd,
     sum_kappa_over_cube,
     tabular_to_omdd,
+    to_omdd,
     to_tabular,
 )
 
@@ -391,6 +400,31 @@ def test_loaded_omdd_is_canonicalized(tmp_path, k1_table):
     loaded = load_model(path)
     assert is_reduced(loaded)
     assert loaded.nonterminal_count() == 1
+
+
+def test_to_omdd_of_a_graph_equals_the_table_collapse_under_any_order():
+    # trees with shared subtrees, diagrams drawn under one order and
+    # converted under another, and tables: the fold splits wherever a child
+    # starts earlier in the new order than its parent, and must give the
+    # diagram the table collapse gives, reduced and left alone by reduce_omdd
+    assert tabular_to_omdd is to_omdd
+    rng = random.Random(8086)
+    models = []
+    for _ in range(200):
+        space = random_space(rng, max_features=6, domain_pool=(2, 3, 4))
+        models.append(random_dag(rng, space, stop=rng.choice((0.05, 0.15, 0.3))))
+        models.append(random_raw_omdd(rng))
+    models += [random_table(rng, domain_pool=(2, 3)) for _ in range(50)]
+    for model in models:
+        order = list(range(model.space.m))
+        rng.shuffle(order)
+        omdd = to_omdd(model, order)
+        assert omdd.order == tuple(order)
+        assert model_to_json(omdd) == model_to_json(tabular_to_omdd(to_tabular(model), order))
+        assert o_is_reduced(omdd)
+        assert reduce_omdd(omdd) == omdd
+    with pytest.raises(InputError):
+        to_omdd(models[0], [0] * models[0].space.m)
 
 
 def test_enumeration_cap_on_cube(k1_table, monkeypatch):
