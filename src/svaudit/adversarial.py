@@ -57,7 +57,7 @@ def find_witness(problem: ExplanationProblem, A):
     if not A:
         return None
     for x in _points_changed_on(problem, sorted(A)):
-        c = problem.model.evaluate(x)
+        c = problem.model.lookup(x)
         if c != problem.predicted:
             return AdversarialSet(A, x, c)
     return None
@@ -92,7 +92,7 @@ def min_l0_distance(problem: ExplanationProblem):
     k = min(len(Y) for Y in cxps)
     hits = [AdversarialSet(Y, x, c) for Y in cxps if len(Y) == k
             for x in _points_changed_on(problem, sorted(Y))
-            if (c := problem.model.evaluate(x)) != problem.predicted]
+            if (c := problem.model.lookup(x)) != problem.predicted]
     if not hits:
         raise NoSolutionError(f"no flipping point at the smallest CXp size {k}")
     return k, tuple(sorted(hits, key=lambda a: a.witness))

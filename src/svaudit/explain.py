@@ -201,11 +201,10 @@ def _ext(features):
     return [i + 1 for i in sorted(features)]
 
 
-def relevancy_report(problem: ExplanationProblem, engine: str = "duality",
-                     cap: int = EXPLAIN_CAP) -> RelevancyReport:
+def relevancy_report(problem: ExplanationProblem, engine: str = "duality") -> RelevancyReport:
     """Classify every feature as relevant (in some AXp), necessary (in all)
     or irrelevant (in none)."""
-    axps, cxps = enumerate_explanations(problem, engine=engine, cap=cap)
+    axps, cxps = enumerate_explanations(problem, engine=engine)
     relevant = frozenset().union(*axps)
     necessary = frozenset(range(problem.m)).intersection(*axps)
     irrelevant = frozenset(range(problem.m)) - relevant

@@ -105,27 +105,16 @@ class _FamilyDef:
     domain_sizes: tuple[int, ...]
     instance: tuple[int, ...]
     sv: callable
-    # numerator/denominator of the alpha that zeroes Sv(1)
-    alpha_num: callable
-    alpha_den: int
     cell: callable
     alpha_forbidden: tuple[int, ...] = ()
 
 
 _FAMILIES = {
-    "a": _FamilyDef(2, (2, 2), (1, 1), _sv_a,
-                    lambda s: 3 * s[0] + s[1], 4, _cells_a),
-    "b": _FamilyDef(4, (2, 2, 2), (1, 1, 1), _sv_b,
-                    lambda s: s[0] + 2 * s[1] + 2 * s[2] + 7 * s[3], 12, _cells_b),
-    "c": _FamilyDef(9, (2, 3, 3), (1, 2, 2), _sv_c,
-                    lambda s: (2 * s[0] + 2 * s[1] + 5 * s[2] + 2 * s[3] + 2 * s[4]
-                               + 5 * s[5] + 5 * s[6] + 5 * s[7] + 26 * s[8]), 54, _cells_c),
-    "c5": _FamilyDef(6, (2, 2, 3), (1, 1, 2), _sv_c5,
-                     lambda s: (2 * s[0] + 2 * s[1] + 5 * s[2] + 4 * s[3] + 4 * s[4]
-                                + 19 * s[5]), 36, _cells_c),
-    "d": _FamilyDef(4, (2, 2, 2, 3), (1, 1, 1, 2), _sv_d,
-                    lambda s: 3 * s[0] + 5 * s[1] + 5 * s[2] + 11 * s[3], 144, _cells_d,
-                    alpha_forbidden=(0,)),
+    "a": _FamilyDef(2, (2, 2), (1, 1), _sv_a, _cells_a),
+    "b": _FamilyDef(4, (2, 2, 2), (1, 1, 1), _sv_b, _cells_b),
+    "c": _FamilyDef(9, (2, 3, 3), (1, 2, 2), _sv_c, _cells_c),
+    "c5": _FamilyDef(6, (2, 2, 3), (1, 1, 2), _sv_c5, _cells_c),
+    "d": _FamilyDef(4, (2, 2, 2, 3), (1, 1, 1, 2), _sv_d, _cells_d, alpha_forbidden=(0,)),
 }
 
 # pinned parameter picks behind the "paper" strategy and the --paper flag
@@ -225,8 +214,10 @@ def solve_family(family: str, strategy: str = "paper", seed=None,
     Strategies: ``paper`` returns the pinned reference picks; ``grid``
     scans sigma vectors lexicographically over 0..SIGMA_MAX and keeps the
     first hit (deterministic, seed unused); ``random`` draws seeded uniform
-    sigma vectors. alpha is derived from the family's closed form and must
-    come out integral. Exceeding ``budget`` candidates raises NoSolutionError.
+    sigma vectors. alpha is derived from the family's closed form: Sv(1) is
+    alpha/2 plus a term free of alpha, so the alpha zeroing it is -2 Sv(1)
+    at alpha = 0, and it must come out integral. Exceeding ``budget``
+    candidates raises NoSolutionError.
     """
     key = str(family).lower()
     fam = _family_def(key)
@@ -247,12 +238,9 @@ def solve_family(family: str, strategy: str = "paper", seed=None,
         tried += 1
         if tried > budget:
             break
-        num = fam.alpha_num(sigmas)
-        if num % fam.alpha_den:
-            continue
-        alpha = num // fam.alpha_den
-        if _acceptable(fam, alpha, sigmas):
-            return FamilySpec(key, alpha, sigmas, psi=psi)
+        alpha = -2 * fam.sv(0, sigmas)[0]
+        if alpha.denominator == 1 and _acceptable(fam, alpha.numerator, sigmas):
+            return FamilySpec(key, alpha.numerator, sigmas, psi=psi)
     raise NoSolutionError(
         f"no valid parameters for family {key} within {budget} candidates")
 

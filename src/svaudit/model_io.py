@@ -18,8 +18,10 @@ Layout (integers only, bit-exact):
 
 Integers are checked with ``type(x) is int``: JSON ``true``/``false`` load as
 ``bool``, a subclass of ``int``, and are rejected. Feature indices in files
-are 1-based; loaded OMDDs are canonicalized with ``reduce_omdd`` so the
-in-memory diagram is always reduced.
+are 1-based. The loader checks what only the document shows (entry shapes,
+integer types, node ids); the model's construction checks the graph once,
+cycles included. Loaded OMDDs go through ``reduce_omdd``, which keeps a
+reduced diagram as it is, so the in-memory diagram is always reduced.
 """
 
 from __future__ import annotations
@@ -140,20 +142,16 @@ def _graph_from_doc(doc, space):
             raise InputError(f"duplicate node id {e['id']}")
         by_id[e["id"]] = e
 
-    # Depth-first with an explicit stack, so long chains cannot exhaust the
-    # interpreter's recursion limit. An expanded node goes back on the stack
-    # beneath its targets and is built once they are.
+    # One object per entry reachable from the root, in any order; a node's
+    # edges are linked once every target exists. A cycle is left to the
+    # model's construction walk, which rejects it within m levels: it tests
+    # a feature twice on one path, or does not advance in the order.
     built = {}
-    targets = {}  # expanded but not yet built: node id -> its edge list
+    unlinked = []  # (node, its checked (values, target id) pairs)
     stack = [entries[0]["id"]]
     while stack:
         nid = stack.pop()
         if nid in built:
-            continue
-        edges = targets.pop(nid, None)
-        if edges is not None:
-            built[nid] = Node(by_id[nid]["feature"] - 1,
-                              tuple([(values, built[to]) for values, to in edges]))
             continue
         if nid not in by_id:
             raise InputError(f"edge points to unknown node {nid}")
@@ -163,13 +161,12 @@ def _graph_from_doc(doc, space):
                 raise InputError("leaf classes must be integers")
             built[nid] = Leaf(e["class"])
             continue
-        edges = targets[nid] = _edges_of_entry(e, nid, space)
-        stack.append(nid)
-        for _, to in edges:
-            if to in targets:
-                raise InputError(f"cycle through node {to}")
-            if to not in built:
-                stack.append(to)
+        edges = _edges_of_entry(e, nid, space)
+        built[nid] = node = Node(e["feature"] - 1, ())
+        unlinked.append((node, edges))
+        stack += [to for _, to in edges]
+    for node, edges in unlinked:
+        object.__setattr__(node, "edges", tuple([(values, built[to]) for values, to in edges]))
     return built[entries[0]["id"]]
 
 
@@ -204,7 +201,7 @@ def model_to_dict(model: Classifier) -> dict:
     }
     if isinstance(model, TabularClassifier):
         doc["type"] = "table"
-        doc["rows"] = [list(p) + [model.evaluate(p)] for p in space.points()]
+        doc["rows"] = [list(p) + [c] for p, c in zip(space.points(), model.values)]
         return doc
     if isinstance(model, DecisionTree):
         doc["type"] = "dt"

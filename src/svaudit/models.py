@@ -14,13 +14,14 @@ first, and one pass per computation over that list. A tree may share
 subtrees, so every cost is polynomial in the node count, not the path count.
 
 One reducer (merge isomorphic nodes, join the edges that reach one child,
-elide a node left with one child) builds every OMDD. ``to_omdd`` (also
-``tabular_to_omdd``) collapses a table's axes through it, and folds a tree's
-or a diagram's node list through it, children first, under any variable
-order: where a child starts earlier in the order than its parent, the fold
-splits on that feature (Bryant's apply), so no table is built. ``reduce_omdd``
-is that fold under the diagram's own order, and ``is_reduced`` asks whether
-it changes the diagram.
+elide a node left with one child) builds every OMDD, edges by smallest
+value. ``to_omdd`` (also ``tabular_to_omdd``) collapses a table's axes
+through it, and folds a tree's or a diagram's node list through it, children
+first, under any variable order: where a child starts earlier in the order
+than its parent, the fold splits on that feature (Bryant's apply), so no
+table is built. ``reduce_omdd`` folds a diagram under its own order only
+when ``is_reduced``, a check of the rule on the stored node list, fails.
+``evaluate`` checks its point; loops over generated points call ``lookup``.
 
 All structures are immutable after construction and safe to share across
 concurrent readers. Features are 0-based internally; classes are plain ints
@@ -152,7 +153,10 @@ class TabularClassifier:
         return cls(space, tuple(fn(p) for p in space.points()))
 
     def evaluate(self, point) -> int:
-        point = self.space.validate_point(point)
+        return self.lookup(self.space.validate_point(point))
+
+    def lookup(self, point) -> int:
+        """Class of a point already known to lie in the space (unchecked)."""
         return self.values[self.space.index(point)]
 
     def class_values(self) -> frozenset[int]:
@@ -266,7 +270,10 @@ class _DecisionGraph:
         object.__setattr__(self, "classes", frozenset(classes))
 
     def evaluate(self, point) -> int:
-        point = self.space.validate_point(point)
+        return self.lookup(self.space.validate_point(point))
+
+    def lookup(self, point) -> int:
+        """Class of a point already known to lie in the space (unchecked)."""
         node = self.root
         while isinstance(node, Node):
             x = point[node.feature]
@@ -367,7 +374,6 @@ class ExplanationProblem:
 
     @classmethod
     def of(cls, model: Classifier, point) -> "ExplanationProblem":
-        point = model.space.validate_point(point)
         return cls(model, point, model.evaluate(point))
 
     @property
@@ -398,7 +404,7 @@ def sum_kappa_over_cube(model: Classifier, S, v, backend: str = "auto") -> int:
     if backend == "enumerate":
         if cube_size(space, S) > ENUMERATION_CAP:
             raise CapacityError("cube too large for the enumeration backend")
-        return sum(model.evaluate(p) for p in space.cube_points(S, v))
+        return sum(map(model.lookup, space.cube_points(S, v)))
     if backend == "paths":
         if not isinstance(model, _DecisionGraph):
             raise InputError("path counting needs a decision tree or an OMDD")
@@ -439,7 +445,7 @@ def find_counterexample(model: Classifier, S, v, target: int):
     v = space.validate_point(v)
     if isinstance(model, TabularClassifier):
         for p in space.cube_points(S, v):
-            if model.evaluate(p) != target:
+            if model.lookup(p) != target:
                 return p
         return None
     choice = _graph_counterexample(model.nodes, S, v, target)
@@ -493,7 +499,7 @@ def to_tabular(model: Classifier) -> TabularClassifier:
     """Materialize a classifier as a complete table (space must be enumerable)."""
     if isinstance(model, TabularClassifier):
         return model
-    return TabularClassifier.from_function(model.space, model.evaluate)
+    return TabularClassifier.from_function(model.space, model.lookup)
 
 
 dt_to_tabular = omdd_to_tabular = to_tabular
@@ -571,7 +577,8 @@ def _fold(nodes, order, sizes, unique):
     children first in ``nodes``: each stored node goes through ``_merge``
     once its children are reduced, with ``unique`` as the reducer's table.
 
-    A child's result is dropped after its last parent used it. A split
+    Edges go to ``_merge`` by smallest value, the order the table collapse
+    uses. A child's result is dropped after its last parent used it. A split
     leaves behind the nodes above the cofactors it took, so a fold that may
     split needs a weak table, which forgets them as they die; an unsplit
     fold builds no node that dies."""
@@ -589,6 +596,7 @@ def _fold(nodes, order, sizes, unique):
         if f is None:
             out[k] = leaf(edges)
             continue
+        edges = sorted(edges, key=lambda e: min(e[0]))
         out[k] = _merge(f, [(values, out[c]) for values, c in edges], {}, rank, sizes, node)
         for _, c in edges:
             if last[c] == k:
@@ -633,12 +641,25 @@ def _merge(f, edges, memo, rank, sizes, node):
 
 
 def reduce_omdd(omdd: Omdd) -> Omdd:
-    """Canonical reduced form: ``_fold`` under the diagram's own order, where
-    every child starts later than its parent, so no node is split."""
+    """Canonical reduced form: the diagram itself when it is reduced, else
+    ``_fold`` under its own order, where every child starts later than its
+    parent, so no node is split."""
+    if is_reduced(omdd):
+        return omdd
     root = _fold(omdd.nodes, omdd.order, omdd.space.domain_sizes, {})
     return Omdd(omdd.space, omdd.order, root)
 
 
 def is_reduced(omdd: Omdd) -> bool:
-    """True iff reducing the diagram leaves it as it is (same node list)."""
-    return reduce_omdd(omdd) == omdd
+    """The reduction rule (Bryant, 1986) over the stored node list: leaf
+    classes are distinct, every internal node has at least two edges, each
+    to a different child, and no two internal nodes test one feature with
+    one edge set. Children come first in the list, so by induction no two
+    distinct nodes are then isomorphic."""
+    seen = set()
+    for f, edges in omdd.nodes:
+        key = (f, edges if f is None else frozenset(edges))
+        if key in seen or f is not None and len({c for _, c in edges}) < max(len(edges), 2):
+            return False
+        seen.add(key)
+    return True

@@ -28,14 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial
 
-from .errors import CapacityError, InputError
+from .errors import InputError
 from .models import ExplanationProblem, TabularClassifier, cube_size, sum_kappa_over_cube
 from .rat import rat_json, rat_str
-
-# Every engine refuses more features than this (the reference loop is O(2^m)).
-COALITION_CAP = 24
 
 
 def phi(problem: ExplanationProblem, S, backend: str = "auto") -> Fraction:
@@ -67,8 +64,7 @@ class SvReport:
         }
 
 
-def shapley_values(problem: ExplanationProblem, backend: str = "auto",
-                   cap: int = COALITION_CAP) -> SvReport:
+def shapley_values(problem: ExplanationProblem, backend: str = "auto") -> SvReport:
     """Exact Shapley value of every feature.
 
     ``auto`` runs the polynomial engine of the representation: the axis
@@ -79,9 +75,6 @@ def shapley_values(problem: ExplanationProblem, backend: str = "auto",
     rationals; ``phi(empty)`` always comes from a cube sum, so the residual
     compares two independent computations.
     """
-    m = problem.m
-    if m > cap:
-        raise CapacityError(f"{m} features exceed the coalition cap {cap}")
     if backend not in ("auto", "enumerate", "paths"):
         raise InputError(f"unknown backend {backend!r}")
 

@@ -8,8 +8,9 @@ import sys
 import pytest
 
 from svaudit.cli import UsageError, main, parse_instance
+from svaudit.errors import InputError
 from svaudit.explain import relevancy_report
-from svaudit.model_io import model_to_dict, model_to_json, save_model
+from svaudit.model_io import model_from_dict, model_to_dict, model_to_json, save_model
 from svaudit.models import ExplanationProblem, FeatureSpace
 
 
@@ -219,7 +220,47 @@ def _chain_doc(kind):
     return doc
 
 
+def _cycle_doc(kind, shape):
+    """Three binary features and a cycle: a node that is its own child, two
+    nodes that are each other's child, or a cycle entered through a node
+    that both edges of the root share."""
+    leaves = [{"id": "c0", "class": 0}, {"id": "c1", "class": 1}]
+    if shape == "self-loop":
+        nodes = [{"id": 0, "feature": 1, "edges": [{"values": [0], "to": 0},
+                                                   {"values": [1], "to": "c1"}]}]
+    elif shape == "two-node":
+        nodes = [{"id": 0, "feature": 1, "edges": [{"values": [0], "to": 1},
+                                                   {"values": [1], "to": "c0"}]},
+                 {"id": 1, "feature": 2, "edges": [{"values": [0], "to": 0},
+                                                   {"values": [1], "to": "c1"}]}]
+    else:
+        nodes = [{"id": 0, "feature": 1, "edges": [{"values": [0], "to": 1},
+                                                   {"values": [1], "to": 1}]},
+                 {"id": 1, "feature": 2, "edges": [{"values": [0], "to": 2},
+                                                   {"values": [1], "to": "c0"}]},
+                 {"id": 2, "feature": 3, "edges": [{"values": [0], "to": 1},
+                                                   {"values": [1], "to": "c1"}]}]
+    doc = {"type": kind, "features": [{"name": f"x{i}", "domain": 2} for i in (1, 2, 3)],
+           "classes": [0, 1], "nodes": nodes + leaves}
+    if kind == "omdd":
+        doc["order"] = [1, 2, 3]
+    return doc
+
+
+CYCLES = [(kind, shape) for kind in ("dt", "omdd")
+          for shape in ("self-loop", "two-node", "shared entry")]
+
+
+@pytest.mark.parametrize("kind,shape", CYCLES)
+def test_cyclic_graph_is_rejected_by_the_construction_walk(kind, shape):
+    # the loader links the entries as listed; the model rejects the cycle
+    message = "tested twice" if kind == "dt" else "does not advance"
+    with pytest.raises(InputError, match=message):
+        model_from_dict(_cycle_doc(kind, shape))
+
+
 MALFORMED_MODELS = {
+    **{f"{kind} {shape}": _cycle_doc(kind, shape) for kind, shape in CYCLES},
     "dt chain": _chain_doc("dt"),
     "omdd chain": _chain_doc("omdd"),
     "list id": {"type": "dt", "features": [{"name": "x1", "domain": 2}], "classes": [0, 1],

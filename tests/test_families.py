@@ -119,6 +119,34 @@ def test_solver_determinism():
         assert g1 == g2
 
 
+# (family, strategy, seed) -> (alpha, sigmas), as the solver first found them
+SOLVER_PICKS = {
+    ("a", "grid", None): (1, (0, 4)),
+    ("a", "random", 1): (9, (12, 0)),
+    ("a", "random", 2): (2, (1, 5)),
+    ("b", "grid", None): (7, (0, 0, 0, 12)),
+    ("b", "random", 1): (5, (1, 4, 1, 7)),
+    ("b", "random", 2): (10, (2, 8, 9, 12)),
+    ("c", "grid", None): (5, (0, 0, 0, 0, 0, 0, 0, 2, 10)),
+    ("c", "random", 1): (8, (2, 12, 1, 12, 9, 0, 5, 4, 12)),
+    ("c", "random", 2): (5, (7, 2, 2, 12, 12, 7, 10, 1, 4)),
+    ("c5", "grid", None): (7, (0, 0, 0, 0, 6, 12)),
+    ("c5", "random", 1): (3, (8, 4, 5, 5, 5, 1)),
+    ("c5", "random", 2): (6, (2, 5, 2, 2, 8, 8)),
+    ("d", "grid", None): (1, (0, 2, 7, 9)),
+    ("d", "random", 1): (1, (2, 4, 6, 8)),
+    ("d", "random", 2): (1, (8, 0, 2, 10)),
+}
+
+
+def test_solver_picks_are_pinned():
+    # alpha comes from the closed form of Sv(1); the picks must not move
+    assert {f for f, _, _ in SOLVER_PICKS} == set(FAMILY_IDS)
+    for (family, strategy, seed), (alpha, sigmas) in SOLVER_PICKS.items():
+        spec = solve_family(family, strategy=strategy, seed=seed)
+        assert (spec.alpha, spec.sigmas) == (alpha, sigmas)
+
+
 def test_solver_budget_exhaustion():
     with pytest.raises(NoSolutionError):
         solve_family("c", strategy="grid", budget=5)

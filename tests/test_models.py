@@ -30,6 +30,7 @@ from svaudit.models import (
     TabularClassifier,
     cube_size,
     dt_to_tabular,
+    find_counterexample,
     is_reduced,
     omdd_to_tabular,
     reduce_omdd,
@@ -299,8 +300,9 @@ def test_one_reducer_agrees_with_the_reference_on_random_diagrams():
         assert verdict == o_is_reduced(raw)
         unreduced += not verdict
         reduced = reduce_omdd(raw)
+        assert (reduced is raw) == verdict
         assert o_is_reduced(reduced) and is_reduced(reduced)
-        assert reduce_omdd(reduced) == reduced
+        assert reduce_omdd(reduced) is reduced
         table = to_tabular(raw)
         assert to_tabular(reduced).values == table.values
         assert model_to_json(reduced) == model_to_json(tabular_to_omdd(table, raw.order))
@@ -400,6 +402,46 @@ def test_loaded_omdd_is_canonicalized(tmp_path, k1_table):
     loaded = load_model(path)
     assert is_reduced(loaded)
     assert loaded.nonterminal_count() == 1
+
+
+def test_loading_builds_each_model_once(monkeypatch, k1_table, k1_dt):
+    # a reduced diagram is kept as loaded; only an unreduced one is folded
+    # into a second diagram
+    import svaudit.models as models
+    walks = []
+    index = models._DecisionGraph._index
+    monkeypatch.setattr(models._DecisionGraph, "_index",
+                        lambda self, rank=None: walks.append(1) or index(self, rank))
+    raw = model_to_dict(tabular_to_omdd(k1_table, (2, 0, 1)))
+    # point one of the edges into the class-1 leaf at a copy of that leaf
+    unreduced = json.loads(json.dumps(raw))
+    leaf = next(e for e in unreduced["nodes"] if e.get("class") == 1)
+    unreduced["nodes"].append(dict(leaf, id="copy"))
+    into = [edge for e in unreduced["nodes"] for edge in e.get("edges", ())
+            if edge["to"] == leaf["id"]]
+    assert len(into) > 1
+    into[0]["to"] = "copy"
+    for doc, builds in ((model_to_dict(k1_dt), 1), (raw, 1), (unreduced, 2)):
+        walks.clear()
+        model = model_from_dict(json.loads(json.dumps(doc)))
+        assert len(walks) == builds
+        assert [model.evaluate(p) for p in model.space.points()] == list(k1_table.values)
+
+
+def test_to_omdd_is_canonical_whatever_order_a_tree_lists_its_edges_in():
+    # every node the fold builds stores its edges by smallest value, as the
+    # table collapse does, so the two diagrams are equal in memory and their
+    # traversals pick the same counterexamples
+    rng = random.Random(5)
+    for _ in range(200):
+        space = random_space(rng, max_features=5, domain_pool=(2, 3, 4))
+        tree = random_dag(rng, space)
+        folded, collapsed = to_omdd(tree), to_omdd(to_tabular(tree))
+        assert folded == collapsed
+        v = tuple(rng.randrange(d) for d in space.domain_sizes)
+        c = tree.evaluate(v)
+        assert find_counterexample(folded, frozenset(), v, c) \
+            == find_counterexample(collapsed, frozenset(), v, c)
 
 
 def test_to_omdd_of_a_graph_equals_the_table_collapse_under_any_order():

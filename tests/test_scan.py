@@ -20,6 +20,21 @@ from svaudit.scan import (
 F = Fraction
 
 
+def test_analyze_instance_checks_points_at_the_boundary_only(monkeypatch):
+    # the loops over cube points call the unchecked lookup; only the instance
+    # and the points handed to exported functions are checked
+    from oracle import random_table
+    table = random_table(random.Random(21), FeatureSpace((2, 2, 2, 2, 2, 2, 3, 3)))
+    problem = ExplanationProblem.of(table, (1, 0, 1, 0, 1, 0, 2, 1))
+    calls = []
+    check = FeatureSpace.validate_point
+    monkeypatch.setattr(FeatureSpace, "validate_point",
+                        lambda self, point: calls.append(1) or check(self, point))
+    record = analyze_instance(problem)
+    assert record.point == problem.point
+    assert 0 < len(calls) < 50
+
+
 def test_analyze_k1(k1_problem):
     record = analyze_instance(k1_problem)
     assert record.issue is True

@@ -4,10 +4,7 @@ import random
 from fractions import Fraction
 from math import comb
 
-import pytest
-
 from oracle import o_shapley, random_dag, random_dt, random_problem, random_table
-from svaudit.errors import CapacityError
 from svaudit.model_io import model_from_dict
 from svaudit.models import (
     DecisionTree,
@@ -160,11 +157,6 @@ def test_varsigma_normalization():
     for m in range(1, 8):
         total = sum(comb(m - 1, k) * varsigma(m, k) for k in range(m))
         assert total == 1
-
-
-def test_coalition_cap(k1_problem):
-    with pytest.raises(CapacityError):
-        shapley_values(k1_problem, cap=2)
 
 
 def test_report_json_k1(k1_problem):
