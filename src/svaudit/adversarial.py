@@ -68,11 +68,11 @@ def _cxps(problem: ExplanationProblem):
     return enumerate_explanations(problem, cap=problem.m)[1]
 
 
-def minimal_adversarial_sets(problem: ExplanationProblem):
-    """All subset-minimal adversarial change-sets, each with its
-    lexicographically smallest witness: the CXps, one ``find_witness`` each."""
+def minimal_adversarial_sets(problem: ExplanationProblem, cxps=None):
+    """All subset-minimal adversarial change-sets, each with its lexicographically
+    smallest witness: the CXps (given, or enumerated), one ``find_witness`` each."""
     found = []
-    for Y in _cxps(problem):
+    for Y in _cxps(problem) if cxps is None else cxps:
         hit = find_witness(problem, Y)
         if hit is None:
             raise NoSolutionError(f"CXp {sorted(i + 1 for i in Y)} has no flipping witness")
@@ -80,15 +80,15 @@ def minimal_adversarial_sets(problem: ExplanationProblem):
     return tuple(found)
 
 
-def min_l0_distance(problem: ExplanationProblem):
+def min_l0_distance(problem: ExplanationProblem, cxps=None):
     """Smallest number of features whose change can flip the prediction,
-    with every witness at that distance.
+    with every witness at that distance; the CXps are enumerated unless given.
 
     The distance k is the smallest CXp size: the changed set of a flipping
     point at distance k is counterfactual-sufficient with no smaller such
     subset, so it is a size-k CXp, and only those CXps are searched.
     """
-    cxps = _cxps(problem)
+    cxps = _cxps(problem) if cxps is None else cxps
     k = min(len(Y) for Y in cxps)
     hits = [AdversarialSet(Y, x, c) for Y in cxps if len(Y) == k
             for x in _points_changed_on(problem, sorted(Y))
@@ -106,8 +106,9 @@ def ae_feature_set(problem: ExplanationProblem) -> frozenset[int]:
 
 
 def adversarial_report(problem: ExplanationProblem) -> dict:
-    k, _ = min_l0_distance(problem)
+    cxps = _cxps(problem)  # one enumeration serves both parts
+    k, _ = min_l0_distance(problem, cxps)
     return {
         "min_l0": k,
-        "minimal_sets": [a.to_json_dict() for a in minimal_adversarial_sets(problem)],
+        "minimal_sets": [a.to_json_dict() for a in minimal_adversarial_sets(problem, cxps)],
     }

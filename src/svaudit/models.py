@@ -122,8 +122,11 @@ class FeatureSpace:
 
 def cube_size(space: FeatureSpace, S) -> int:
     """Number of points agreeing with a reference point on S (independent of it)."""
-    S = space.validate_subset(S)
-    return prod(d for i, d in enumerate(space.domain_sizes) if i not in S)
+    return _cube_size(space.domain_sizes, space.validate_subset(S))
+
+
+def _cube_size(sizes, S) -> int:
+    return prod(d for i, d in enumerate(sizes) if i not in S)
 
 
 def _class_value(c) -> int:
@@ -402,7 +405,7 @@ def sum_kappa_over_cube(model: Classifier, S, v, backend: str = "auto") -> int:
     if backend == "auto":
         backend = "enumerate" if isinstance(model, TabularClassifier) else "paths"
     if backend == "enumerate":
-        if cube_size(space, S) > ENUMERATION_CAP:
+        if _cube_size(space.domain_sizes, S) > ENUMERATION_CAP:
             raise CapacityError("cube too large for the enumeration backend")
         return sum(map(model.lookup, space.cube_points(S, v)))
     if backend == "paths":
@@ -419,7 +422,7 @@ def _graph_cube_sum(model, S, v) -> int:
     # A(child) does not depend on x_f (no path tests f twice), so the
     # floor division is exact.
     sizes = model.space.domain_sizes
-    free = prod(d for j, d in enumerate(sizes) if j not in S)
+    free = _cube_size(sizes, S)
     nodes = model.nodes
     total = [0] * len(nodes)
     for k, (f, edges) in enumerate(nodes):

@@ -16,9 +16,12 @@ Two engines compute the same rationals:
   ``Q_i[k] = sum_{|S|=k, i not in S} D * (phi(S | {i}) - phi(S))``.
   A table gets all 2^m cube sums from one collapse of each feature axis,
   O(N + m 2^m) for N points (so linear in the table). Trees and OMDDs
-  share one bottom-up and one top-down pass of integer polynomials over
-  their stored node list, O(|G| m^2) for a graph of |G| distinct nodes;
-  the pass needs no variable order, only that every path is read-once.
+  share one bottom-up and one top-down pass of integer polynomials, each
+  packed into one integer, over their stored node list: O(|G|) big-integer
+  operations on numbers of (m+1) B bits for |G| distinct nodes, not
+  O(|G| m^2) list steps, where 2^(B-1) > cmax D^2 9^m, cmax the largest
+  |class|, bounds every coefficient. The pass needs no variable order, only
+  that every path is read-once.
   ``Sv(i) = sum_k k!(m-1-k)! Q_i[k] / (m! D)``.
 * the reference coalition loop (``backend="enumerate"`` or ``"paths"``)
   evaluates phi on all 2^m coalitions with that cube-sum backend.
@@ -31,15 +34,16 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import InputError
-from .models import ExplanationProblem, TabularClassifier, cube_size, sum_kappa_over_cube
+from .models import ExplanationProblem, TabularClassifier, _cube_size, sum_kappa_over_cube
 from .rat import rat_json, rat_str
 
 
 def phi(problem: ExplanationProblem, S, backend: str = "auto") -> Fraction:
     """Average class value over the points agreeing with the instance on S."""
-    S = problem.space.validate_subset(S)
+    S = frozenset(S)
+    # the cube sum checks S, so its size is taken unchecked
     total = sum_kappa_over_cube(problem.model, S, problem.point, backend=backend)
-    return Fraction(total, cube_size(problem.space, S))
+    return Fraction(total, _cube_size(problem.space.domain_sizes, S))
 
 
 def varsigma(m: int, size: int) -> Fraction:
@@ -69,9 +73,10 @@ def shapley_values(problem: ExplanationProblem, backend: str = "auto") -> SvRepo
 
     ``auto`` runs the polynomial engine of the representation: the axis
     collapse for tables, O(N + m 2^m) for N points; the graph passes for
-    trees and OMDDs, O(|G| m^2). ``enumerate`` (cubes walked point by point)
-    and ``paths`` (model counting on trees/diagrams) run the reference loop
-    over all 2^m coalitions with that cube-sum backend. All give identical
+    trees and OMDDs, O(|G|) big-integer operations. ``enumerate`` (cubes
+    walked point by point) and ``paths`` (model counting on trees/diagrams)
+    run the reference loop over all 2^m coalitions with that cube-sum
+    backend. All give identical
     rationals; ``phi(empty)`` always comes from a cube sum, so the residual
     compares two independent computations.
     """
@@ -169,83 +174,73 @@ def _graph_grades(model, v) -> list[list[int]]:
     b = d_f [v_f in E], and features it does not test contribute 1. Top and
     Bottom are scaled by D = prod d_j, so they stay integer polynomials, and
     Q_i(z) = (1+z)^(m-1) sum_{u tests i} Top(u) Gain(u) / D.
+
+    Each polynomial is held as one integer, its value at w = W = 2^B
+    (Kronecker substitution), so every step is one big-integer operation and
+    the coefficients of the sums are read back as balanced base-W digits.
     """
     nodes = model.nodes
     sizes = model.space.domain_sizes
     m, D = len(sizes), model.space.size
     count = len(nodes)
 
+    # W = 2^B exceeds twice cmax D^2 9^m (cmax the largest |class|), which
+    # bounds every |coefficient| of sum_u Top(u) Gain(u) by its l1 norm
+    # D 3^(m-1) * 2 D cmax 3^(m-1). A node's out-edges have l1 weights
+    # sum_E (|b| + |a-b|) / d_f = (3 d_f - 2 a_x) / d_f < 3, and no path meets
+    # two nodes of one feature, so the l1 norms of Top over any feature's
+    # nodes sum to below D 3^(m-1). Bottom(u) = (1-w) fixed + w free, so
+    # ||Bottom(u)|| <= 3 max ||Bottom(child)|| from D cmax at the leaves and
+    # ||Gain(u)|| = ||fixed - free|| <= 2 D cmax 3^(m-1).
+    cmax = max((abs(c) for f, c in nodes if f is None), default=0)
+    B = (cmax * D * D * 9 ** m).bit_length() + 1
+
     # Every division by d_f below is exact: f is tested neither above nor
-    # beneath a node testing f on any path, so each term of Top(u) and of
-    # Bottom(child) still carries the factor d_f of D.
-    bottom = [None] * count
-    gain = [None] * count
+    # beneath a node testing f on any path, so each coefficient of Top(u) and
+    # of Bottom(child) still carries the factor d_f of D.
+    bottom = [0] * count
+    gain = [0] * count
     for k, (f, edges) in enumerate(nodes):  # children first
         if f is None:
-            bottom[k] = [D * edges]
+            bottom[k] = D * edges
             continue
-        d, x = sizes[f], v[f]
-        free = []
+        free = 0
         for E, child in edges:
-            _axpy(free, bottom[child], len(E))
-            if x in E:
+            free += len(E) * bottom[child]
+            if v[f] in E:
                 fixed = bottom[child]
-        free = [c // d for c in free]
-        gain[k] = _axpy(list(fixed), free, -1)
-        bottom[k] = _axpy(list(fixed), [0] + gain[k], -1)
+        gain[k] = fixed - free // sizes[f]
+        bottom[k] = fixed - (gain[k] << B)
 
-    grades = [[] for _ in range(m)]
-    top = [None] * count
-    top[-1] = [D]
+    grades = [0] * m
+    top = [0] * count
+    top[-1] = D
     for k in range(count - 1, -1, -1):  # parents first
         f, edges = nodes[k]
         if f is None:
             continue
-        _axpy(grades[f], _mul(top[k], gain[k]), 1)
+        grades[f] += top[k] * gain[k]
         d, x = sizes[f], v[f]
-        t = [c // d for c in top[k]]
+        t = top[k] // d
         for E, child in edges:
-            if nodes[child][0] is None:
-                continue
-            b = d if x in E else 0
-            reach = [b * c for c in t] + [0]
-            for j, c in enumerate(t, 1):
-                reach[j] += (len(E) - b) * c
-            if top[child] is None:
-                top[child] = reach
-            else:
-                _axpy(top[child], reach, 1)
+            if nodes[child][0] is not None:
+                b = d if x in E else 0
+                top[child] += t * (b + ((len(E) - b) << B))
 
     # sum_j c_j w^j (1+z)^(m-1) = sum_j c_j (1+z)^(m-1-j). The division by D
     # is exact: a path's term of Top(u) Gain(u) is D^2 over the product of
     # the d_f of the distinct features it tests.
+    half = 1 << (B - 1)
     out = []
     for g in grades:
         q = [0] * m
-        for j, c in enumerate(g):
-            c //= D
+        for j in range(m):
+            g, c = divmod(g + half, 2 * half)
+            c = (c - half) // D
             for s in range(m - j):
                 q[s] += c * comb(m - 1 - j, s)
         out.append(q)
     return out
-
-
-def _mul(p, q) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
-def _axpy(acc: list, p, c: int) -> list:
-    """acc += c * p in place (extending acc); returns acc."""
-    if len(acc) < len(p):
-        acc.extend([0] * (len(p) - len(acc)))
-    for j, x in enumerate(p):
-        acc[j] += c * x
-    return acc
 
 
 def validate_efficiency(problem: ExplanationProblem, report: SvReport) -> Fraction:

@@ -1,6 +1,7 @@
 """Minimal l0 adversarial change-sets and their ties to contrastive explanations."""
 
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -218,6 +219,29 @@ def test_find_witness_runs_once_per_cxp(monkeypatch):
         calls.clear()
         sets = minimal_adversarial_sets(problem)
         assert calls == list(enumerate_explanations(problem)[1]) == [a.changed for a in sets]
+
+
+def test_report_enumerates_the_cxps_once(monkeypatch):
+    # min_l0 and the minimal sets share one duality run; each part is still
+    # called once through the module, and the report text is the one the
+    # two parts give when each enumerates on its own
+    rng = random.Random(229)
+    problems = [random_problem(rng, max_features=5) for _ in range(15)]
+    problems.append(ExplanationProblem.of(k_of_n_tree(10, 5), (1,) * 10))
+    expected = [json.dumps({"min_l0": min_l0_distance(p)[0],
+                            "minimal_sets": [a.to_json_dict() for a in minimal_adversarial_sets(p)]})
+                for p in problems]
+    calls = dict.fromkeys(("enumerate_explanations", "min_l0_distance", "minimal_adversarial_sets"), 0)
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(adversarial, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(adversarial, name, counting)
+    for problem, text in zip(problems, expected):
+        calls.update(dict.fromkeys(calls, 0))
+        assert json.dumps(adversarial_report(problem)) == text
+        assert calls == dict.fromkeys(calls, 1)
 
 
 def test_cxp_without_a_witness_is_a_domain_error(monkeypatch, k1_problem):

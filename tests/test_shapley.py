@@ -1,10 +1,23 @@
 """Exact attribution: phi goldens, Shapley goldens, efficiency, backends."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
-from oracle import o_shapley, random_dag, random_dt, random_problem, random_table
+import pytest
+
+from oracle import (
+    o_shapley,
+    random_dag,
+    random_dt,
+    random_problem,
+    random_raw_omdd,
+    random_space,
+    random_table,
+)
+from svaudit import models as models_module
+from svaudit.errors import CapacityError, InputError
 from svaudit.model_io import model_from_dict
 from svaudit.models import (
     DecisionTree,
@@ -16,6 +29,8 @@ from svaudit.models import (
     OmddNode,
     OmddTerminal,
     TabularClassifier,
+    cube_size,
+    sum_kappa_over_cube,
     tabular_to_omdd,
 )
 from svaudit.rat import dec_str, rat_str
@@ -197,10 +212,17 @@ def test_backend_equivalence_on_omdds():
         assert omdd_report.residual == 0
 
 
-def _shift_leaves(node, delta):
-    if isinstance(node, DTLeaf):
-        return DTLeaf(node.class_value + delta)
-    return DTNode(node.feature, tuple((E, _shift_leaves(ch, delta)) for E, ch in node.edges))
+def _relabel(node, fn, memo=None):
+    """Copy of a graph with every leaf class c replaced by fn(c); a node
+    shared in the graph stays shared in the copy."""
+    memo = {} if memo is None else memo
+    if id(node) not in memo:
+        if isinstance(node, DTLeaf):
+            memo[id(node)] = DTLeaf(fn(node.class_value))
+        else:
+            memo[id(node)] = DTNode(node.feature, tuple((E, _relabel(ch, fn, memo))
+                                                        for E, ch in node.edges))
+    return memo[id(node)]
 
 
 def test_polynomial_engine_matches_reference_loop_and_oracle():
@@ -223,7 +245,7 @@ def test_polynomial_engine_matches_reference_loop_and_oracle():
         expected = shapley_values(ExplanationProblem.of(table, v), backend="enumerate")
         models = [table, tabular_to_omdd(table, order)]
         dt = random_dt(rng, space, classes=5)
-        models.append(DecisionTree(space, _shift_leaves(dt.root, -2)))
+        models.append(DecisionTree(space, _relabel(dt.root, lambda c: c - 2)))
         models.append(random_dag(dag_rng, space, classes=range(-3, 4)))
         for model in models:
             problem = ExplanationProblem.of(model, v)
@@ -304,3 +326,82 @@ def test_polynomial_engine_at_twenty_features():
     assert report.phi_empty == phi_empty
     assert report.values == ((1 - phi_empty) / 20,) * 20
     assert report.residual == 0
+
+
+def test_phi_checks_its_subset_once(monkeypatch, k2_problem, k1_dt_problem):
+    # the cube sum is the one boundary check of S and of the point; the
+    # cube size and the enumeration cap reuse the subset it checked
+    counts = Counter()
+    for name in ("validate_subset", "validate_point"):
+        def counting(self, arg, _name=name, _original=getattr(FeatureSpace, name)):
+            counts[_name] += 1
+            return _original(self, arg)
+
+        monkeypatch.setattr(FeatureSpace, name, counting)
+    for problem, backend, expected in ((k2_problem, "auto", K2_PHI), (k1_dt_problem, "auto", K1_PHI),
+                                       (k1_dt_problem, "enumerate", K1_PHI)):
+        counts.clear()
+        assert phi(problem, [0], backend) == expected[frozenset({0})]
+        assert counts == {"validate_subset": 1, "validate_point": 1}
+    with pytest.raises(InputError):
+        phi(k2_problem, {3})
+    with pytest.raises(InputError):
+        cube_size(k2_problem.space, {3})
+    with pytest.raises(InputError):
+        sum_kappa_over_cube(k2_problem.model, {0}, (1, 2, 3))
+    monkeypatch.setattr(models_module, "ENUMERATION_CAP", 5)
+    with pytest.raises(CapacityError):
+        phi(k2_problem, {0})
+    with pytest.raises(CapacityError):
+        sum_kappa_over_cube(k2_problem.model, {0}, k2_problem.point)
+    assert phi(k2_problem, {0, 1}) == K2_PHI[frozenset({0, 1})]  # 3 points
+
+
+def test_graph_engine_with_classes_near_a_trillion():
+    # the packed engine holds each polynomial as one integer, with digits
+    # wide enough for cmax D^2 9^m; classes of about 1e12 on graphs of up to
+    # 4096 points overflow a width that drops cmax or D^2
+    rng = random.Random(97)
+    for _ in range(30):
+        space = random_space(rng, domain_pool=(2, 3, 4))
+        dag = random_dag(rng, space, classes=[rng.randint(-10 ** 12, 10 ** 12) for _ in range(4)])
+        raw = random_raw_omdd(rng)
+        big = [rng.randint(-10 ** 12, 10 ** 12) for _ in range(3)]
+        raw = Omdd(raw.space, raw.order, _relabel(raw.root, big.__getitem__))
+        for model in (dag, raw):
+            sizes = model.space.domain_sizes
+            v = tuple(rng.randrange(d) for d in sizes)
+            problem = ExplanationProblem.of(model, v)
+            report = shapley_values(problem)
+            assert report == shapley_values(problem, backend="paths")
+            assert report.residual == 0
+            if len(sizes) <= 4:
+                assert report.values == o_shapley(model.evaluate, sizes, v)
+
+
+def _shared_chain(m, top):
+    """top * x_m over binary features: node k tests feature k+1 and sends
+    both edges to node k+1, so the m+2 nodes hold 2^m paths."""
+    node = DTNode(m - 1, ((frozenset({0}), DTLeaf(0)), (frozenset({1}), DTLeaf(top))))
+    for f in reversed(range(m - 1)):
+        node = DTNode(f, ((frozenset({0}), node), (frozenset({1}), node)))
+    return DecisionTree(FeatureSpace((2,) * m), node)
+
+
+def test_scaling_the_classes_scales_every_value():
+    kofn = _k_of_n_omdd(20, 10)
+
+    def scaled_kofn(K):
+        return Omdd(kofn.space, kofn.order, _relabel(kofn.root, lambda c: K * c))
+
+    rng = random.Random(101)
+    for build, m in ((scaled_kofn, 20), (lambda K: _shared_chain(24, K), 24)):
+        for v in ((1,) * m, tuple(rng.randrange(2) for _ in range(m))):
+            base = shapley_values(ExplanationProblem.of(build(1), v))
+            if m == 24:
+                assert base.values == (0,) * 23 + (F(2 * v[-1] - 1, 2),)
+            for K in (10 ** 12 + 39, -(10 ** 30) - 39):
+                report = shapley_values(ExplanationProblem.of(build(K), v))
+                assert report.values == tuple(K * q for q in base.values)
+                assert report.phi_empty == K * base.phi_empty
+                assert report.residual == 0
