@@ -38,20 +38,14 @@ from .families import FamilySpec, certificate, instantiate, solve_family, symbol
 from .model_io import load_model, model_from_dict, model_to_dict, save_model
 from .models import (
     DecisionTree,
-    DTLeaf,
-    DTNode,
     ExplanationProblem,
     FeatureSpace,
     Leaf,
     Node,
     Omdd,
-    OmddNode,
-    OmddTerminal,
     TabularClassifier,
     cube_size,
-    dt_to_tabular,
     is_reduced,
-    omdd_to_tabular,
     reduce_omdd,
     sum_kappa_over_cube,
     tabular_to_omdd,

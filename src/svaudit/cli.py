@@ -147,10 +147,10 @@ def _cmd_convert(args) -> None:
 
 
 _SV_METHOD_HELP = (
-    "auto (default): polynomial exact engine, O(N + m*2^m) on a table of N points, O(|G|) "
-    "operations on (m+1)*B-bit integers on a tree or diagram of |G| nodes, with 2^(B-1) > "
-    "cmax*D^2*9^m bounding every coefficient; brute|paths: reference loop over all 2^m "
-    "coalitions with the point-enumeration|path-counting cube sum")
+    "auto (default): polynomial exact engine, O(|G|) operations on (m+1)*B-bit integers "
+    "over the |G| nodes of a tree or diagram, or of a table's reduced diagram, with "
+    "2^(B-1) > cmax*D^2*9^m bounding every coefficient; brute|paths: reference loop over "
+    "all 2^m coalitions with the point-enumeration|path-counting cube sum")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,6 +21,11 @@ first, under any variable order: where a child starts earlier in the order
 than its parent, the fold splits on that feature (Bryant's apply), so no
 table is built. ``reduce_omdd`` folds a diagram under its own order only
 when ``is_reduced``, a check of the rule on the stored node list, fails.
+
+A table keeps its values for ``lookup`` and the ``enumerate`` cube sum. On
+first use it caches ``nodes``, the node list of its reduced OMDD under the
+feature order, so every per-node pass (path counting, counterexamples,
+graph Shapley) runs on all three representations.
 ``evaluate`` checks its point; loops over generated points call ``lookup``.
 
 All structures are immutable after construction and safe to share across
@@ -30,6 +35,7 @@ concurrent readers. Features are 0-based internally; classes are plain ints
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import weakref
@@ -165,6 +171,12 @@ class TabularClassifier:
     def class_values(self) -> frozenset[int]:
         return frozenset(self.values)
 
+    @functools.cached_property
+    def nodes(self) -> tuple:
+        """Node list of the reduced OMDD under the feature order, built on
+        first use: the per-node passes read it as they read a graph's."""
+        return to_omdd(self).nodes
+
 
 @dataclass(frozen=True)
 class Leaf:
@@ -183,11 +195,6 @@ class Node:
     # shared node.
     def __repr__(self):
         return f"Node(feature={self.feature}, edges={len(self.edges)})"
-
-
-# The names trees and diagrams used before they shared one node type.
-DTLeaf = OmddTerminal = Leaf
-DTNode = OmddNode = Node
 
 
 @dataclass(frozen=True)
@@ -371,7 +378,7 @@ class ExplanationProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "point", self.model.space.validate_point(self.point))
-        if self.model.evaluate(self.point) != self.predicted:
+        if self.model.lookup(self.point) != self.predicted:
             raise InputError(
                 f"instance class {self.predicted} disagrees with the classifier")
 
@@ -395,9 +402,9 @@ class ExplanationProblem:
 def sum_kappa_over_cube(model: Classifier, S, v, backend: str = "auto") -> int:
     """Sum of class values over all points agreeing with v on S.
 
-    ``enumerate`` walks the cube point by point and works for every
-    representation; ``paths`` counts models per node and needs a
-    DecisionTree or Omdd. Both produce the same exact integer.
+    ``enumerate`` walks the cube point by point; ``paths`` counts models per
+    node over the stored node list (a table's reduced diagram for a table).
+    Both work for every representation and produce the same exact integer.
     """
     space = model.space
     S = space.validate_subset(S)
@@ -409,8 +416,6 @@ def sum_kappa_over_cube(model: Classifier, S, v, backend: str = "auto") -> int:
             raise CapacityError("cube too large for the enumeration backend")
         return sum(map(model.lookup, space.cube_points(S, v)))
     if backend == "paths":
-        if not isinstance(model, _DecisionGraph):
-            raise InputError("path counting needs a decision tree or an OMDD")
         return _graph_cube_sum(model, S, v)
     raise InputError(f"unknown backend {backend!r}")
 
@@ -439,18 +444,13 @@ def find_counterexample(model: Classifier, S, v, target: int):
     """First point agreeing with v on S whose class differs from target.
 
     Returns None when every such point maps to target (i.e. S is
-    prediction-sufficient). Tables are scanned in lexicographic order; tree
-    and diagram traversals are deterministic and prefer values of v so the
-    returned point differs from v on as few features as possible.
+    prediction-sufficient). The traversal of the stored node list (a table's
+    reduced diagram for a table) is deterministic and prefers values of v,
+    so the returned point differs from v on as few features as possible.
     """
     space = model.space
     S = space.validate_subset(S)
     v = space.validate_point(v)
-    if isinstance(model, TabularClassifier):
-        for p in space.cube_points(S, v):
-            if model.lookup(p) != target:
-                return p
-        return None
     choice = _graph_counterexample(model.nodes, S, v, target)
     if choice is None:
         return None
@@ -503,9 +503,6 @@ def to_tabular(model: Classifier) -> TabularClassifier:
     if isinstance(model, TabularClassifier):
         return model
     return TabularClassifier.from_function(model.space, model.lookup)
-
-
-dt_to_tabular = omdd_to_tabular = to_tabular
 
 
 def _reducer(unique):

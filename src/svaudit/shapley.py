@@ -12,16 +12,15 @@ Two engines compute the same rationals:
 
 * the default polynomial engine (``backend="auto"``) never walks the 2^m
   coalitions. With ``D = prod d_j``, every ``D * phi(S)`` is an integer, and
-  each representation yields, per feature i, the size-graded sums
+  it builds, per feature i, the size-graded sums
   ``Q_i[k] = sum_{|S|=k, i not in S} D * (phi(S | {i}) - phi(S))``.
-  A table gets all 2^m cube sums from one collapse of each feature axis,
-  O(N + m 2^m) for N points (so linear in the table). Trees and OMDDs
-  share one bottom-up and one top-down pass of integer polynomials, each
-  packed into one integer, over their stored node list: O(|G|) big-integer
-  operations on numbers of (m+1) B bits for |G| distinct nodes, not
-  O(|G| m^2) list steps, where 2^(B-1) > cmax D^2 9^m, cmax the largest
-  |class|, bounds every coefficient. The pass needs no variable order, only
-  that every path is read-once.
+  One bottom-up and one top-down pass of integer polynomials, each packed
+  into one integer, run over the stored node list: a tree's or a diagram's
+  own, or a table's reduced OMDD (built once, on first use). That is O(|G|)
+  big-integer operations on numbers of (m+1) B bits for |G| distinct
+  nodes, not O(|G| m^2) list steps, where 2^(B-1) > cmax D^2 9^m, cmax the
+  largest |class|, bounds every coefficient. The pass needs no variable
+  order, only that every path is read-once.
   ``Sv(i) = sum_k k!(m-1-k)! Q_i[k] / (m! D)``.
 * the reference coalition loop (``backend="enumerate"`` or ``"paths"``)
   evaluates phi on all 2^m coalitions with that cube-sum backend.
@@ -34,7 +33,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import InputError
-from .models import ExplanationProblem, TabularClassifier, _cube_size, sum_kappa_over_cube
+from .models import ExplanationProblem, _cube_size, sum_kappa_over_cube
 from .rat import rat_json, rat_str
 
 
@@ -71,20 +70,21 @@ class SvReport:
 def shapley_values(problem: ExplanationProblem, backend: str = "auto") -> SvReport:
     """Exact Shapley value of every feature.
 
-    ``auto`` runs the polynomial engine of the representation: the axis
-    collapse for tables, O(N + m 2^m) for N points; the graph passes for
-    trees and OMDDs, O(|G|) big-integer operations. ``enumerate`` (cubes
-    walked point by point) and ``paths`` (model counting on trees/diagrams)
-    run the reference loop over all 2^m coalitions with that cube-sum
-    backend. All give identical
-    rationals; ``phi(empty)`` always comes from a cube sum, so the residual
-    compares two independent computations.
+    ``auto`` runs the polynomial engine: the graph passes over the stored
+    node list (a table's cached reduced OMDD for a table), O(|G|)
+    big-integer operations. ``enumerate`` (cubes walked point by point) and
+    ``paths`` (model counting per node) run the reference loop over all
+    2^m coalitions with that cube-sum backend. All give identical
+    rationals; ``phi(empty)`` always comes from a cube sum (walked point by
+    point on a table), so the residual compares two independent
+    computations.
     """
     if backend not in ("auto", "enumerate", "paths"):
         raise InputError(f"unknown backend {backend!r}")
 
     if backend == "auto":
-        values = _values_from_grades(_graded_marginals(problem), problem.space.size)
+        values = _values_from_grades(_graph_grades(problem.model, problem.point),
+                                     problem.space.size)
         phi_empty = phi(problem, frozenset())
     else:
         values, phi_empty = _coalition_loop(problem, backend)
@@ -119,49 +119,6 @@ def _values_from_grades(grades, space_size: int) -> tuple[Fraction, ...]:
     weight = [factorial(k) * factorial(m - 1 - k) for k in range(m)]
     den = factorial(m) * space_size
     return tuple(Fraction(sum(w * q for w, q in zip(weight, qi)), den) for qi in grades)
-
-
-def _graded_marginals(problem: ExplanationProblem) -> list[list[int]]:
-    """Q_i[k] for every feature i and coalition size k, as exact integers."""
-    model, v = problem.model, problem.point
-    if isinstance(model, TabularClassifier):
-        return _table_grades(model, v)
-    return _graph_grades(model, v)
-
-
-def _table_grades(table: TabularClassifier, v) -> list[list[int]]:
-    # Collapse feature axes in order: axis j of length d_j becomes two
-    # entries, the sum over the axis (j free) and the entry at v_j (j in S),
-    # moved to the least significant place. Afterwards entry r is the cube
-    # sum Z(S), with feature j in S iff bit m-1-j of r is set.
-    sizes = table.space.domain_sizes
-    m = len(sizes)
-    z = list(table.values)
-    for j, d in enumerate(sizes):
-        s = len(z) // d
-        chunks = [z[t * s:(t + 1) * s] for t in range(d)]
-        out = [0] * (2 * s)
-        out[0::2] = map(sum, zip(*chunks))
-        out[1::2] = chunks[v[j]]
-        z = out
-
-    # D * phi(S) = Z(S) * P(S), with P(S) the product of d_j over j in S
-    scale = [1] * (1 << m)
-    for r in range(1, 1 << m):
-        low = r & -r
-        scale[r] = scale[r ^ low] * sizes[m - low.bit_length()]
-    weighted = [total * s for total, s in zip(z, scale)]
-
-    size = [r.bit_count() for r in range(1 << m)]
-    grades = []
-    for i in range(m):
-        bit = 1 << (m - 1 - i)
-        q = [0] * m
-        for r in range(1 << m):
-            if not r & bit:
-                q[size[r]] += weighted[r | bit] - weighted[r]
-        grades.append(q)
-    return grades
 
 
 def _graph_grades(model, v) -> list[list[int]]:

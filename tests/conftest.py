@@ -4,10 +4,10 @@ import pytest
 
 from svaudit.models import (
     DecisionTree,
-    DTLeaf,
-    DTNode,
     ExplanationProblem,
     FeatureSpace,
+    Leaf,
+    Node,
     TabularClassifier,
 )
 
@@ -38,10 +38,10 @@ def k1_problem(k1_table):
 @pytest.fixture
 def k1_dt():
     # root tests x1; the x1=0 branch tests x2, then x3
-    x3_low = DTNode(2, ((frozenset({0}), DTLeaf(0)), (frozenset({1}), DTLeaf(3))))
-    x3_high = DTNode(2, ((frozenset({0}), DTLeaf(2)), (frozenset({1}), DTLeaf(3))))
-    x2 = DTNode(1, ((frozenset({0}), x3_low), (frozenset({1}), x3_high)))
-    root = DTNode(0, ((frozenset({0}), x2), (frozenset({1}), DTLeaf(1))))
+    x3_low = Node(2, ((frozenset({0}), Leaf(0)), (frozenset({1}), Leaf(3))))
+    x3_high = Node(2, ((frozenset({0}), Leaf(2)), (frozenset({1}), Leaf(3))))
+    x2 = Node(1, ((frozenset({0}), x3_low), (frozenset({1}), x3_high)))
+    root = Node(0, ((frozenset({0}), x2), (frozenset({1}), Leaf(1))))
     return DecisionTree(FeatureSpace((2, 2, 2)), root)
 
 
@@ -64,9 +64,9 @@ def k2_problem(k2_table):
 def kc1_dt():
     # instantiated family-c classifier with sigma2=2, sigma5=5, sigma8=8, alpha=1:
     # on the x1=0 side only x3=1 rows are nonzero, split there by x2
-    by_x2 = DTNode(1, ((frozenset({0}), DTLeaf(2)),
-                       (frozenset({1}), DTLeaf(5)),
-                       (frozenset({2}), DTLeaf(8))))
-    by_x3 = DTNode(2, ((frozenset({0, 2}), DTLeaf(0)), (frozenset({1}), by_x2)))
-    root = DTNode(0, ((frozenset({0}), by_x3), (frozenset({1}), DTLeaf(1))))
+    by_x2 = Node(1, ((frozenset({0}), Leaf(2)),
+                     (frozenset({1}), Leaf(5)),
+                     (frozenset({2}), Leaf(8))))
+    by_x3 = Node(2, ((frozenset({0, 2}), Leaf(0)), (frozenset({1}), by_x2)))
+    root = Node(0, ((frozenset({0}), by_x3), (frozenset({1}), Leaf(1))))
     return DecisionTree(FeatureSpace((2, 3, 3)), root)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import factorial
 
 from svaudit.errors import InputError
-from svaudit.models import DecisionTree, DTLeaf, DTNode, FeatureSpace, Omdd, TabularClassifier
+from svaudit.models import DecisionTree, FeatureSpace, Leaf, Node, Omdd, TabularClassifier
 
 
 def all_points(domains):
@@ -158,7 +158,7 @@ def o_is_reduced(omdd):
         nonlocal ok
         if id(node) in canon:
             return
-        if isinstance(node, DTLeaf):
+        if isinstance(node, Leaf):
             key = ("t", node.class_value)
         else:
             children = []
@@ -218,19 +218,19 @@ def random_dt(rng, space, classes=3, stop=0.25):
 
     def grow(avail, depth):
         if not avail or depth == 0 or rng.random() < stop:
-            return DTLeaf(rng.randrange(classes))
+            return Leaf(rng.randrange(classes))
         f = rng.choice(sorted(avail))
         groups = _partition(rng, range(space.domain_sizes[f]))
         edges = tuple((g, grow(avail - {f}, depth - 1)) for g in groups)
-        return DTNode(f, edges)
+        return Node(f, edges)
 
     while True:
         root = grow(frozenset(range(space.m)), space.m)
-        if isinstance(root, DTNode):
+        if isinstance(root, Node):
             classes_seen = set()
 
             def leaves(node):
-                if isinstance(node, DTLeaf):
+                if isinstance(node, Leaf):
                     classes_seen.add(node.class_value)
                 else:
                     for _, ch in node.edges:
@@ -245,11 +245,11 @@ def k_of_n_tree(n, k):
     """[x1 + ... + xn >= k] over binary features, unfolded into a tree."""
     def grow(depth, ones):
         if ones >= k:
-            return DTLeaf(1)
+            return Leaf(1)
         if ones + (n - depth) < k:
-            return DTLeaf(0)
-        return DTNode(depth, ((frozenset({0}), grow(depth + 1, ones)),
-                              (frozenset({1}), grow(depth + 1, ones + 1))))
+            return Leaf(0)
+        return Node(depth, ((frozenset({0}), grow(depth + 1, ones)),
+                            (frozenset({1}), grow(depth + 1, ones + 1))))
     return DecisionTree(FeatureSpace((2,) * n), grow(0, 0))
 
 
@@ -267,17 +267,17 @@ def random_dag(rng, space, classes=range(3), stop=0.25, share=0.4):
             if not avail or rng.random() < stop:
                 c = rng.choice(classes)
                 seen.add(c)
-                out = (DTLeaf(c), frozenset())
+                out = (Leaf(c), frozenset())
             else:
                 f = rng.choice(sorted(avail))
                 kids = [(g, grow(avail - {f})) for g in _partition(rng, range(space.domain_sizes[f]))]
-                out = (DTNode(f, tuple((g, node) for g, (node, _) in kids)),
+                out = (Node(f, tuple((g, node) for g, (node, _) in kids)),
                        frozenset({f}).union(*(tested for _, (_, tested) in kids)))
             built.append(out)
             return out
 
         root, _ = grow(frozenset(range(space.m)))
-        if isinstance(root, DTNode) and len(seen) >= 2:
+        if isinstance(root, Node) and len(seen) >= 2:
             return DecisionTree(space, root)
 
 
@@ -290,20 +290,20 @@ def random_raw_omdd(rng, max_features=6, domain_pool=(2, 3, 4), classes=3):
         space = FeatureSpace(tuple(rng.choice(domain_pool) for _ in range(m)))
         order = list(range(m))
         rng.shuffle(order)
-        pool = [DTLeaf(c) for c in range(classes) for _ in range(2)]
+        pool = [Leaf(c) for c in range(classes) for _ in range(2)]
         for f in reversed(order):  # children are built before their parents
             layer = []
             for _ in range(rng.randint(1, 3)):
                 draw = rng.random()
                 if layer and draw < 0.2:  # a structural twin, as a new object
-                    layer.append(DTNode(f, rng.choice(layer).edges))
+                    layer.append(Node(f, rng.choice(layer).edges))
                     continue
                 lone = rng.choice(pool)  # every edge goes here in a redundant node
                 groups = _partition(rng, range(space.domain_sizes[f]))
-                layer.append(DTNode(f, tuple((g, lone if draw < 0.3 else rng.choice(pool))
-                                             for g in groups)))
+                layer.append(Node(f, tuple((g, lone if draw < 0.3 else rng.choice(pool))
+                                           for g in groups)))
             pool += layer
-        root = rng.choice([n for n in pool if isinstance(n, DTNode)])
+        root = rng.choice([n for n in pool if isinstance(n, Node)])
         try:
             return Omdd(space, tuple(order), root)
         except InputError:  # the drawn diagram is constant

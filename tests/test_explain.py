@@ -293,7 +293,7 @@ def test_enumeration_cap():
 
 
 def test_enumeration_agrees_across_representations():
-    from svaudit.models import dt_to_tabular, tabular_to_omdd
+    from svaudit.models import tabular_to_omdd, to_tabular
     from oracle import random_dag, random_dt, random_table
     rng = random.Random(47)
     for _ in range(15):
@@ -309,7 +309,7 @@ def test_enumeration_agrees_across_representations():
         space = FeatureSpace(tuple(rng.choice((2, 3)) for _ in range(rng.randint(2, 5))))
         dt = random_dt(rng, space)
         v = tuple(rng.randrange(d) for d in space.domain_sizes)
-        expected = enumerate_explanations(ExplanationProblem.of(dt_to_tabular(dt), v))
+        expected = enumerate_explanations(ExplanationProblem.of(to_tabular(dt), v))
         got = enumerate_explanations(ExplanationProblem.of(dt, v))
         assert got == expected
     dag_rng = random.Random(97)
@@ -318,7 +318,7 @@ def test_enumeration_agrees_across_representations():
         dag = random_dag(dag_rng, space)
         v = tuple(dag_rng.randrange(d) for d in space.domain_sizes)
         problem = ExplanationProblem.of(dag, v)
-        table_problem = ExplanationProblem.of(dt_to_tabular(dag), v)
+        table_problem = ExplanationProblem.of(to_tabular(dag), v)
         assert enumerate_explanations(problem) == enumerate_explanations(table_problem)
         for mask in range(1 << space.m):
             S = frozenset(i for i in range(space.m) if mask >> i & 1)

@@ -18,15 +18,15 @@ from svaudit.families import FAMILY_IDS
 from svaudit.model_io import load_model, model_from_dict, save_model
 from svaudit.models import (
     DecisionTree,
-    DTLeaf,
-    DTNode,
     ExplanationProblem,
     FeatureSpace,
+    Leaf,
+    Node,
     Omdd,
-    dt_to_tabular,
     find_counterexample,
     sum_kappa_over_cube,
     tabular_to_omdd,
+    to_tabular,
 )
 from svaudit.shapley import shapley_values
 
@@ -90,12 +90,12 @@ def test_family_instance_on_each_representation(capsys, tmp_path):
 def belmonte_shape_dt():
     """A hand-built 9-feature read-once tree of case-study shape (768 points)."""
     space = FeatureSpace((2, 2, 2, 2, 2, 2, 2, 2, 3))
-    leafs = [DTLeaf(c) for c in range(4)]
+    leafs = [Leaf(c) for c in range(4)]
 
     def split(f, low, high):
-        return DTNode(f, ((frozenset({0}), low), (frozenset({1}), high)))
+        return Node(f, ((frozenset({0}), low), (frozenset({1}), high)))
 
-    deep = DTNode(8, ((frozenset({0, 2}), leafs[0]), (frozenset({1}), leafs[3])))
+    deep = Node(8, ((frozenset({0, 2}), leafs[0]), (frozenset({1}), leafs[3])))
     mid1 = split(6, split(7, leafs[1], leafs[2]), deep)
     mid2 = split(4, mid1, split(5, leafs[2], leafs[0]))
     mid3 = split(2, split(3, leafs[0], mid2), split(5, leafs[1], leafs[3]))
@@ -141,8 +141,8 @@ def test_engines_agree_on_structured_trees():
         dag_v = tuple(dag_rng.randrange(d) for d in space.domain_sizes)
         for tree, v in ((dt, v), (dag, dag_v)):
             prob_dt = ExplanationProblem.of(tree, v)
-            prob_tab = ExplanationProblem.of(dt_to_tabular(tree), v)
-            prob_mdd = ExplanationProblem.of(tabular_to_omdd(dt_to_tabular(tree)), v)
+            prob_tab = ExplanationProblem.of(to_tabular(tree), v)
+            prob_mdd = ExplanationProblem.of(tabular_to_omdd(to_tabular(tree)), v)
             expected = enumerate_explanations(prob_tab, engine="brute")
             assert enumerate_explanations(prob_dt, engine="duality") == expected
             assert enumerate_explanations(prob_mdd, engine="duality") == expected
@@ -222,7 +222,7 @@ def test_loaded_copies_compare_and_hash_by_their_node_lists():
     doc["classes"].append(2)
     differs = model_from_dict(doc) != a
     assert differs
-    omdd = tabular_to_omdd(dt_to_tabular(model_from_dict(_shared_chain_doc(4))))
+    omdd = tabular_to_omdd(to_tabular(model_from_dict(_shared_chain_doc(4))))
     assert omdd != DecisionTree(omdd.space, omdd.root)
     assert omdd != Omdd(omdd.space, (3, 2, 1, 0), omdd.root)
     assert omdd == Omdd(omdd.space, omdd.order, omdd.root)
@@ -304,7 +304,7 @@ def test_graph_repr_names_the_node_count_not_every_path():
     text = repr(dt)
     assert len(text) < 1024
     assert text.startswith("DecisionTree(space=FeatureSpace(") and text.endswith("nodes=26)")
-    omdd = tabular_to_omdd(dt_to_tabular(model_from_dict(_shared_chain_doc(4))), (3, 2, 1, 0))
+    omdd = tabular_to_omdd(to_tabular(model_from_dict(_shared_chain_doc(4))), (3, 2, 1, 0))
     assert repr(omdd).startswith("Omdd(space=FeatureSpace(")
     assert repr(omdd).endswith(f"order=(3, 2, 1, 0), nodes={len(omdd.nodes)})")
 

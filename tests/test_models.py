@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,21 +19,15 @@ from svaudit.errors import CapacityError, InputError
 from svaudit.model_io import load_model, model_from_dict, model_to_dict, model_to_json, save_model
 from svaudit.models import (
     DecisionTree,
-    DTLeaf,
-    DTNode,
     ExplanationProblem,
     FeatureSpace,
     Leaf,
     Node,
     Omdd,
-    OmddNode,
-    OmddTerminal,
     TabularClassifier,
     cube_size,
-    dt_to_tabular,
     find_counterexample,
     is_reduced,
-    omdd_to_tabular,
     reduce_omdd,
     sum_kappa_over_cube,
     tabular_to_omdd,
@@ -90,14 +85,36 @@ def test_instance_consistency(k1_table):
         ExplanationProblem(k1_table, (1, 0, 0), 2)
 
 
+def test_problem_checks_its_point_twice(monkeypatch, k1_table, k1_dt):
+    # ``of`` checks the point in ``evaluate`` and the constructor once more;
+    # the constructor compares the class by an unchecked lookup
+    counts = Counter()
+
+    def counting(name, original):
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(FeatureSpace, "validate_point",
+                        counting("validate_point", FeatureSpace.validate_point))
+    for model in (k1_table, k1_dt, to_omdd(k1_dt)):
+        monkeypatch.setattr(type(model), "evaluate", counting("evaluate", type(model).evaluate))
+        counts.clear()
+        assert ExplanationProblem.of(model, (1, 0, 0)).predicted == 1
+        assert counts == {"validate_point": 2, "evaluate": 1}
+        with pytest.raises(InputError):
+            ExplanationProblem(model, (1, 0, 2), 1)
+
+
 def test_constant_classifiers_rejected():
     space = FeatureSpace((2, 2))
     with pytest.raises(InputError):
         TabularClassifier(space, (1, 1, 1, 1))
     with pytest.raises(InputError):
-        DecisionTree(space, DTLeaf(0))
+        DecisionTree(space, Leaf(0))
     with pytest.raises(InputError):
-        DecisionTree(space, DTNode(0, ((frozenset({0, 1}), DTLeaf(1)),)))
+        DecisionTree(space, Node(0, ((frozenset({0, 1}), Leaf(1)),)))
 
 
 def test_classes_must_be_integers():
@@ -118,14 +135,14 @@ def test_classes_must_be_integers():
 
 def test_dt_structural_validation():
     space = FeatureSpace((2, 2))
-    leaf0, leaf1 = DTLeaf(0), DTLeaf(1)
+    leaf0, leaf1 = Leaf(0), Leaf(1)
     with pytest.raises(InputError):  # overlap
-        DecisionTree(space, DTNode(0, ((frozenset({0, 1}), leaf0), (frozenset({1}), leaf1))))
+        DecisionTree(space, Node(0, ((frozenset({0, 1}), leaf0), (frozenset({1}), leaf1))))
     with pytest.raises(InputError):  # not total
-        DecisionTree(space, DTNode(0, ((frozenset({0}), leaf0),)))
+        DecisionTree(space, Node(0, ((frozenset({0}), leaf0),)))
     with pytest.raises(InputError):  # repeated feature on a path
-        inner = DTNode(0, ((frozenset({0}), leaf0), (frozenset({1}), leaf1)))
-        DecisionTree(space, DTNode(0, ((frozenset({0}), inner), (frozenset({1}), leaf1))))
+        inner = Node(0, ((frozenset({0}), leaf0), (frozenset({1}), leaf1)))
+        DecisionTree(space, Node(0, ((frozenset({0}), inner), (frozenset({1}), leaf1))))
 
 
 def test_shared_nodes_are_checked_on_every_path():
@@ -179,10 +196,14 @@ def test_cube_sum_backend_agreement(k1_dt):
 
 def test_cube_sum_backend_agreement_random_dts():
     rng = random.Random(11)
-    for _ in range(30):
-        m = rng.randint(2, 12)
-        space = FeatureSpace(tuple(rng.choice((2, 2, 3)) for _ in range(m)))
-        dt = random_dt(rng, space)
+    for k in range(60):
+        if k < 30:
+            m = rng.randint(2, 12)
+            space = FeatureSpace(tuple(rng.choice((2, 2, 3)) for _ in range(m)))
+            model = random_dt(rng, space)
+        else:  # a table counts paths over its reduced diagram
+            model = random_table(rng, max_features=8)
+            space, m = model.space, model.space.m
         v = tuple(rng.randrange(d) for d in space.domain_sizes)
         if m <= 6:  # exhaustive over subsets when affordable
             subsets = [frozenset(i for i in range(m) if mask >> i & 1)
@@ -191,13 +212,32 @@ def test_cube_sum_backend_agreement_random_dts():
             subsets = [frozenset(i for i in range(m) if rng.random() < 0.5)
                        for _ in range(12)]
         for S in subsets:
-            assert sum_kappa_over_cube(dt, S, v, backend="enumerate") \
-                == sum_kappa_over_cube(dt, S, v, backend="paths")
+            assert sum_kappa_over_cube(model, S, v, backend="enumerate") \
+                == sum_kappa_over_cube(model, S, v, backend="paths")
 
 
-def test_cube_sum_rejects_paths_on_table(k1_table):
-    with pytest.raises(InputError):
-        sum_kappa_over_cube(k1_table, set(), (1, 0, 0), backend="paths")
+def test_table_counterexamples_come_from_its_cached_diagram():
+    # a table runs the graph traversal over its reduced OMDD, which neither
+    # constructing nor converting the table builds
+    rng = random.Random(23)
+    outcomes = Counter()
+    for _ in range(60):
+        table = random_table(rng, domain_pool=(2, 3, 4), classes=rng.randint(2, 4))
+        assert "nodes" not in vars(table) and "nodes" not in vars(to_tabular(to_omdd(table)))
+        space = table.space
+        v = tuple(rng.randrange(d) for d in space.domain_sizes)
+        for _ in range(8):
+            S = frozenset(i for i in range(space.m) if rng.random() < 0.5)
+            target = rng.choice((table.lookup(v), *table.class_values()))
+            other = any(table.lookup(p) != target for p in space.cube_points(S, v))
+            cex = find_counterexample(table, S, v, target)
+            outcomes[other] += 1
+            if not other:
+                assert cex is None
+            else:
+                assert all(cex[i] == v[i] for i in S) and table.evaluate(cex) != target
+        assert table.nodes == to_omdd(table).nodes
+    assert outcomes[True] > 300 and outcomes[False] > 30
 
 
 def test_tabular_to_omdd_k1(k1_table):
@@ -206,7 +246,7 @@ def test_tabular_to_omdd_k1(k1_table):
     per_feature = {}
 
     def walk(node, seen):
-        if isinstance(node, OmddTerminal) or id(node) in seen:
+        if isinstance(node, Leaf) or id(node) in seen:
             return
         seen.add(id(node))
         per_feature[node.feature] = per_feature.get(node.feature, 0) + 1
@@ -231,9 +271,9 @@ def test_constant_branch_collapses():
     space = FeatureSpace((2, 2, 2))
     table = TabularClassifier.from_function(space, lambda x: 7 if x[0] else x[1] + x[2])
     omdd = tabular_to_omdd(table)
-    assert isinstance(omdd.root, OmddNode) and omdd.root.feature == 0
+    assert isinstance(omdd.root, Node) and omdd.root.feature == 0
     branch = {min(vs): ch for vs, ch in omdd.root.edges}
-    assert isinstance(branch[1], OmddTerminal) and branch[1].class_value == 7
+    assert isinstance(branch[1], Leaf) and branch[1].class_value == 7
 
 
 def test_representation_agreement_random_orders():
@@ -247,27 +287,27 @@ def test_representation_agreement_random_orders():
         assert is_reduced(omdd)
         for p in table.space.points():
             assert omdd.evaluate(p) == table.evaluate(p)
-        assert omdd_to_tabular(omdd).values == table.values
+        assert to_tabular(omdd).values == table.values
 
 
 def test_dt_to_tabular_k1(k1_dt, k1_table):
-    assert dt_to_tabular(k1_dt).values == k1_table.values
+    assert to_tabular(k1_dt).values == k1_table.values
 
 
 def test_dt_to_tabular_kc1(kc1_dt):
     from svaudit.families import FamilySpec, instantiate
     expected = instantiate(FamilySpec("c", 1, (0, 2, 0, 0, 5, 0, 0, 8, 0))).model
-    assert dt_to_tabular(kc1_dt).values == expected.values
+    assert to_tabular(kc1_dt).values == expected.values
 
 
 def test_reduce_idempotent_and_detects_duplicates():
     # structurally identical but distinct objects: unreduced by definition
     space = FeatureSpace((2, 2))
-    t0a, t0b, t1 = OmddTerminal(0), OmddTerminal(0), OmddTerminal(1)
-    inner_a = OmddNode(1, ((frozenset({0}), t0a), (frozenset({1}), t1)))
-    inner_b = OmddNode(1, ((frozenset({0}), t0b), (frozenset({1}), t1)))
-    raw = Omdd(space, (0, 1), OmddNode(0, ((frozenset({0}), inner_a),
-                                           (frozenset({1}), inner_b))))
+    t0a, t0b, t1 = Leaf(0), Leaf(0), Leaf(1)
+    inner_a = Node(1, ((frozenset({0}), t0a), (frozenset({1}), t1)))
+    inner_b = Node(1, ((frozenset({0}), t0b), (frozenset({1}), t1)))
+    raw = Omdd(space, (0, 1), Node(0, ((frozenset({0}), inner_a),
+                                       (frozenset({1}), inner_b))))
     assert not is_reduced(raw)
     reduced = reduce_omdd(raw)
     assert is_reduced(reduced)
@@ -280,9 +320,9 @@ def test_reduce_idempotent_and_detects_duplicates():
 
 def test_reduce_merges_parallel_edges():
     space = FeatureSpace((2, 3))
-    t0, t1 = OmddTerminal(0), OmddTerminal(1)
-    messy = OmddNode(1, ((frozenset({0}), t0), (frozenset({1}), t0), (frozenset({2}), t1)))
-    raw = Omdd(space, (0, 1), OmddNode(0, ((frozenset({0}), messy), (frozenset({1}), t1))))
+    t0, t1 = Leaf(0), Leaf(1)
+    messy = Node(1, ((frozenset({0}), t0), (frozenset({1}), t0), (frozenset({2}), t1)))
+    raw = Omdd(space, (0, 1), Node(0, ((frozenset({0}), messy), (frozenset({1}), t1))))
     assert not is_reduced(raw)
     reduced = reduce_omdd(raw)
     assert is_reduced(reduced)
@@ -311,17 +351,17 @@ def test_one_reducer_agrees_with_the_reference_on_random_diagrams():
 
 def test_omdd_structural_validation():
     space = FeatureSpace((2, 2))
-    t0, t1 = OmddTerminal(0), OmddTerminal(1)
-    node1 = OmddNode(1, ((frozenset({0}), t0), (frozenset({1}), t1)))
+    t0, t1 = Leaf(0), Leaf(1)
+    node1 = Node(1, ((frozenset({0}), t0), (frozenset({1}), t1)))
     with pytest.raises(InputError):  # order not a permutation
         Omdd(space, (0, 0), node1)
     with pytest.raises(InputError):  # root layer after child layer
-        bad = OmddNode(1, ((frozenset({0}), OmddNode(0, ((frozenset({0}), t0),
-                                                         (frozenset({1}), t1)))),
-                           (frozenset({1}), t1)))
+        bad = Node(1, ((frozenset({0}), Node(0, ((frozenset({0}), t0),
+                                                 (frozenset({1}), t1)))),
+                       (frozenset({1}), t1)))
         Omdd(space, (0, 1), bad)
     with pytest.raises(InputError):  # constant diagram
-        Omdd(space, (0, 1), OmddTerminal(3))
+        Omdd(space, (0, 1), Leaf(3))
 
 
 def test_model_io_round_trips(tmp_path, k1_table, k1_dt):

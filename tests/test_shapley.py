@@ -21,13 +21,11 @@ from svaudit.errors import CapacityError, InputError
 from svaudit.model_io import model_from_dict
 from svaudit.models import (
     DecisionTree,
-    DTLeaf,
-    DTNode,
     ExplanationProblem,
     FeatureSpace,
+    Leaf,
+    Node,
     Omdd,
-    OmddNode,
-    OmddTerminal,
     TabularClassifier,
     cube_size,
     sum_kappa_over_cube,
@@ -217,11 +215,11 @@ def _relabel(node, fn, memo=None):
     shared in the graph stays shared in the copy."""
     memo = {} if memo is None else memo
     if id(node) not in memo:
-        if isinstance(node, DTLeaf):
-            memo[id(node)] = DTLeaf(fn(node.class_value))
+        if isinstance(node, Leaf):
+            memo[id(node)] = Leaf(fn(node.class_value))
         else:
-            memo[id(node)] = DTNode(node.feature, tuple((E, _relabel(ch, fn, memo))
-                                                        for E, ch in node.edges))
+            memo[id(node)] = Node(node.feature, tuple((E, _relabel(ch, fn, memo))
+                                                      for E, ch in node.edges))
     return memo[id(node)]
 
 
@@ -302,7 +300,7 @@ def test_default_engine_calls_phi_once(monkeypatch, k2_problem):
 
 def _k_of_n_omdd(n, k):
     """[x1 + ... + xn >= k] over binary features, one node per (layer, ones)."""
-    one, zero = OmddTerminal(1), OmddTerminal(0)
+    one, zero = Leaf(1), Leaf(0)
     below = {}
     for p in reversed(range(n)):
         layer = {}
@@ -311,7 +309,7 @@ def _k_of_n_omdd(n, k):
                 continue
             hi = one if c + 1 == k else below[c + 1]
             lo = zero if c + (n - p - 1) < k else below[c]
-            layer[c] = OmddNode(p, ((frozenset({0}), lo), (frozenset({1}), hi)))
+            layer[c] = Node(p, ((frozenset({0}), lo), (frozenset({1}), hi)))
         below = layer
     return Omdd(FeatureSpace((2,) * n), tuple(range(n)), below[0])
 
@@ -382,9 +380,9 @@ def test_graph_engine_with_classes_near_a_trillion():
 def _shared_chain(m, top):
     """top * x_m over binary features: node k tests feature k+1 and sends
     both edges to node k+1, so the m+2 nodes hold 2^m paths."""
-    node = DTNode(m - 1, ((frozenset({0}), DTLeaf(0)), (frozenset({1}), DTLeaf(top))))
+    node = Node(m - 1, ((frozenset({0}), Leaf(0)), (frozenset({1}), Leaf(top))))
     for f in reversed(range(m - 1)):
-        node = DTNode(f, ((frozenset({0}), node), (frozenset({1}), node)))
+        node = Node(f, ((frozenset({0}), node), (frozenset({1}), node)))
     return DecisionTree(FeatureSpace((2,) * m), node)
 
 
