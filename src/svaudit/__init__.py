@@ -15,54 +15,45 @@ The package computes, with arbitrary-precision rational arithmetic:
   misleading (an irrelevant feature outranking a relevant one).
 """
 
-from .adversarial import (
-    AdversarialSet,
-    ae_feature_set,
-    find_witness,
-    min_l0_distance,
-    minimal_adversarial_sets,
-)
-from .errors import CapacityError, InputError, NoSolutionError, SvauditError
-from .explain import (
-    RelevancyReport,
-    axp_rule,
-    enumerate_explanations,
-    is_counterfactual,
-    is_sufficient,
-    minimal_hitting_sets,
-    one_axp,
-    one_cxp,
-    relevancy_report,
-)
-from .families import FamilySpec, certificate, instantiate, solve_family, symbolic_sv
-from .model_io import load_model, model_from_dict, model_to_dict, save_model
-from .models import (
-    DecisionTree,
-    ExplanationProblem,
-    FeatureSpace,
-    Leaf,
-    Node,
-    Omdd,
-    TabularClassifier,
-    cube_size,
-    is_reduced,
-    reduce_omdd,
-    sum_kappa_over_cube,
-    tabular_to_omdd,
-    to_omdd,
-    to_tabular,
-)
-from .scan import (
-    Dataset,
-    ScanRecord,
-    ScanSummary,
-    analyze_instance,
-    build_omdd_from_dataset,
-    load_consistent_dataset,
-    scan_model,
-)
-from .shapley import SvReport, phi, shapley_values, validate_efficiency, varsigma
+from importlib import import_module as _import_module
+
+# Each public name, and each submodule, resolves on first access (PEP 562), so
+# importing the package, or one of its submodules, loads no engine it does
+# not use: a CLI call imports only what its command runs.
+_EXPORTS = {
+    "adversarial": ("AdversarialSet", "ae_feature_set", "find_witness", "min_l0_distance",
+                    "minimal_adversarial_sets"),
+    "errors": ("CapacityError", "InputError", "NoSolutionError", "SvauditError"),
+    "explain": ("RelevancyReport", "axp_rule", "enumerate_explanations", "is_counterfactual",
+                "is_sufficient", "minimal_hitting_sets", "one_axp", "one_cxp",
+                "relevancy_report"),
+    "families": ("FamilySpec", "certificate", "instantiate", "solve_family", "symbolic_sv"),
+    "model_io": ("load_model", "model_from_dict", "model_to_dict", "save_model"),
+    "models": ("DecisionTree", "ExplanationProblem", "FeatureSpace", "Leaf", "Node", "Omdd",
+               "TabularClassifier", "cube_size", "is_reduced", "reduce_omdd",
+               "sum_kappa_over_cube", "tabular_to_omdd", "to_omdd", "to_tabular"),
+    "rat": (),
+    "scan": ("Dataset", "ScanRecord", "ScanSummary", "analyze_instance",
+             "build_omdd_from_dataset", "load_consistent_dataset", "scan_model"),
+    "shapley": ("SvReport", "phi", "shapley_values", "validate_efficiency", "varsigma"),
+}
+_SUBMODULE_OF = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(_SUBMODULE_OF)
+
+
+def __getattr__(name):
+    module = _SUBMODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = _import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -45,8 +45,14 @@ def load_model(path) -> Classifier:
     try:
         with open(path, "r", encoding="utf-8") as fp:
             doc = json.load(fp)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"model file {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"model file {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise InputError(f"model file {path} cannot be parsed: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"model file {path} nests too deeply to parse") from exc
     return model_from_dict(doc)
 
 

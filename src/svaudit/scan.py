@@ -23,14 +23,13 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Optional
 
 from .errors import InputError
 from .explain import relevancy_report
 from .models import ExplanationProblem, FeatureSpace, Omdd, TabularClassifier, tabular_to_omdd
 from .rat import dec_str
-from .shapley import shapley_values
+from .shapley import phi, shapley_values
 
 
 @dataclass(frozen=True)
@@ -66,9 +65,11 @@ class ScanSummary:
         }
 
 
-def analyze_instance(problem: ExplanationProblem) -> ScanRecord:
-    """Shapley values, relevancy partition and the issue verdict for one instance."""
-    report = shapley_values(problem)
+def analyze_instance(problem: ExplanationProblem,
+                     phi_empty: Optional[Fraction] = None) -> ScanRecord:
+    """Shapley values, relevancy partition and the issue verdict for one
+    instance; ``phi_empty`` is passed on to ``shapley_values``."""
+    report = shapley_values(problem, phi_empty=phi_empty)
     relevancy = relevancy_report(problem)
     relevant = relevancy.relevant
     irrelevant = relevancy.irrelevant
@@ -87,8 +88,31 @@ def analyze_instance(problem: ExplanationProblem) -> ScanRecord:
     )
 
 
-def _scan_worker(model, index):
-    return analyze_instance(ExplanationProblem.of(model, model.space.point_at(index)))
+class _Scanner:
+    """Analyzes instances of one model. ``phi(empty)``, one number per model,
+    comes from ``phi`` on the first instance and serves the rest."""
+
+    def __init__(self, model):
+        self.model = model
+        self.phi_empty = None
+
+    def __call__(self, index) -> ScanRecord:
+        problem = ExplanationProblem.of(self.model, self.model.space.point_at(index))
+        if self.phi_empty is None:
+            self.phi_empty = phi(problem, frozenset())
+        return analyze_instance(problem, self.phi_empty)
+
+
+_worker_scanner = None  # set in each ``--jobs`` worker process by its initializer
+
+
+def _start_worker(scanner) -> None:
+    global _worker_scanner
+    _worker_scanner = scanner
+
+
+def _scan_in_worker(index) -> ScanRecord:
+    return _worker_scanner(index)
 
 
 def scan_model(model, sample: Optional[int] = None, seed: int = 0, jobs: int = 1):
@@ -106,14 +130,16 @@ def scan_model(model, sample: Optional[int] = None, seed: int = 0, jobs: int = 1
         if sample < 1:
             raise InputError("sample size must be positive")
         indices = sorted(random.Random(seed).sample(range(space.size), sample))
-    worker = partial(_scan_worker, model)
+    scanner = _Scanner(model)
     if jobs > 1:
         # imported here, so a CLI start does not pay for the pool modules
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(worker, indices, chunksize=16))
+        # each worker receives the model once and keeps its own phi(empty)
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
+                                 initargs=(scanner,)) as pool:
+            records = list(pool.map(_scan_in_worker, indices, chunksize=16))
     else:
-        records = [worker(i) for i in indices]
+        records = [scanner(i) for i in indices]
     return tuple(records), summarize(records)
 
 
@@ -182,9 +208,14 @@ def load_consistent_dataset(path) -> Dataset:
     to dense 0-based codes (numeric order when a column is all-integer,
     lexicographic otherwise). Later rows contradicting an earlier feature
     vector are dropped (first wins)."""
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        reader = csv.reader(fp)
-        table = [row for row in reader if row and any(cell.strip() for cell in row)]
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fp:
+            reader = csv.reader(fp)
+            table = [row for row in reader if row and any(cell.strip() for cell in row)]
+    except UnicodeDecodeError as exc:
+        raise InputError(f"dataset {path} is not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        raise InputError(f"dataset {path} is not readable CSV: {exc}") from exc
     if len(table) < 2:
         raise InputError("dataset needs a header and at least one data row")
     header = [cell.strip() for cell in table[0]]

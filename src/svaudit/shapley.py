@@ -67,7 +67,8 @@ class SvReport:
         }
 
 
-def shapley_values(problem: ExplanationProblem, backend: str = "auto") -> SvReport:
+def shapley_values(problem: ExplanationProblem, backend: str = "auto",
+                   phi_empty: Fraction | None = None) -> SvReport:
     """Exact Shapley value of every feature.
 
     ``auto`` runs the polynomial engine: the graph passes over the stored
@@ -78,6 +79,11 @@ def shapley_values(problem: ExplanationProblem, backend: str = "auto") -> SvRepo
     rationals; ``phi(empty)`` always comes from a cube sum (walked point by
     point on a table), so the residual compares two independent
     computations.
+
+    ``phi(empty)`` is one number per model. A caller that analyzes many
+    instances of one model may pass the value ``phi`` returned for it as
+    ``phi_empty``; ``auto`` then skips that cube sum. The reference loop
+    always computes its own.
     """
     if backend not in ("auto", "enumerate", "paths"):
         raise InputError(f"unknown backend {backend!r}")
@@ -85,7 +91,8 @@ def shapley_values(problem: ExplanationProblem, backend: str = "auto") -> SvRepo
     if backend == "auto":
         values = _values_from_grades(_graph_grades(problem.model, problem.point),
                                      problem.space.size)
-        phi_empty = phi(problem, frozenset())
+        if phi_empty is None:
+            phi_empty = phi(problem, frozenset())
     else:
         values, phi_empty = _coalition_loop(problem, backend)
     residual = sum(values, Fraction(0)) + phi_empty - problem.predicted

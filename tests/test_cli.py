@@ -7,9 +7,11 @@ import sys
 
 import pytest
 
+from svaudit import cli
 from svaudit.cli import UsageError, main, parse_instance
 from svaudit.errors import InputError
 from svaudit.explain import relevancy_report
+from svaudit.families import FAMILY_IDS
 from svaudit.model_io import model_from_dict, model_to_dict, model_to_json, save_model
 from svaudit.models import ExplanationProblem, FeatureSpace
 
@@ -270,28 +272,82 @@ MALFORMED_MODELS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(MALFORMED_MODELS))
-def test_malformed_model_exits_1_without_traceback(tmp_path, name):
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(MALFORMED_MODELS[name]), encoding="utf-8")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-m", "svaudit.cli", "explain", "--model", str(path),
-                           "--instance", "0"], capture_output=True, text=True, env=env,
-                          timeout=60)
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _child(*argv, **kwargs):
+    """A fresh interpreter with the package on its path."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                          timeout=60, **kwargs)
+
+
+def _assert_clean_domain_error(proc):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("svaudit: ")
 
 
-def test_cli_import_leaves_the_process_pool_unloaded():
+@pytest.mark.parametrize("name", sorted(MALFORMED_MODELS))
+def test_malformed_model_exits_1_without_traceback(tmp_path, name):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(MALFORMED_MODELS[name]), encoding="utf-8")
+    _assert_clean_domain_error(
+        _child("-m", "svaudit.cli", "explain", "--model", str(path), "--instance", "0"))
+
+
+MALFORMED_FILES = {  # name -> (command, file flag, file bytes)
+    "model not UTF-8": (
+        "explain", "--model",
+        b'{"type": "table", "features": [{"name": "caf\xe9", "domain": 2}]}'),
+    "model nested 100k deep": ("explain", "--model", b"[" * 100_000 + b"]" * 100_000),
+    "model integer past the digit limit": (
+        "explain", "--model",
+        b'{"type": "table", "features": [{"name": "x1", "domain": ' + b"7" * 5000 + b"}]}"),
+    "dataset not UTF-8": ("build-omdd", "--data", b"x1,y\n\xe9,1\n0,0\n"),
+    "dataset field past the csv limit": (
+        "build-omdd", "--data", b"x1,y\n" + b"a" * 200_000 + b",1\n0,0\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+def test_unreadable_file_exits_1_without_traceback(tmp_path, name):
+    command, flag, content = MALFORMED_FILES[name]
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    argv = [command, flag, str(path)] + (["--instance", "0"] if command == "explain" else [])
+    _assert_clean_domain_error(_child("-m", "svaudit.cli", *argv))
+
+
+def test_cli_import_leaves_the_process_pool_unloaded(tmp_path, k1_table):
     # ``scan --jobs N`` imports the pool only when N > 1
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     script = ("import sys, svaudit.cli; "
               "print(sorted(k for k in ('concurrent.futures', 'multiprocessing') "
               "if k in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=60)
+    proc = _child("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+    # the CLI module loads only what parsing an instance and loading a model need
+    script = "import sys, svaudit.cli; print(sorted(k for k in sys.modules if 'svaudit' in k))"
+    proc = _child("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == repr(["svaudit", "svaudit.cli", "svaudit.errors",
+                                "svaudit.model_io", "svaudit.models"]) + "\n"
+
+    # explain and adversarial load no scan, Shapley, family or rational code
+    save_model(k1_table, tmp_path / "k1.json")
+    script = ("import sys; from svaudit.cli import main\n"
+              "for command in ('explain', 'adversarial'):\n"
+              "    assert main([command, '--model', 'k1.json', '--instance', '1,0,0',\n"
+              "                 '--out', command + '.json']) == 0\n"
+              "print(sorted(k for k in ('svaudit.scan', 'svaudit.shapley', 'svaudit.families',\n"
+              "                         'fractions') if k in sys.modules))")
+    proc = _child("-c", script, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    assert json.loads((tmp_path / "explain.json").read_text())["relevant"] == [1]
+
+
+def test_synth_family_choices_are_the_family_ids():
+    assert cli.FAMILY_IDS == FAMILY_IDS

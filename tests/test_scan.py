@@ -7,7 +7,7 @@ import pytest
 
 from svaudit.errors import InputError
 from svaudit.families import FamilySpec, instantiate, solve_family
-from svaudit.models import ExplanationProblem, FeatureSpace, TabularClassifier
+from svaudit.models import ExplanationProblem, FeatureSpace, TabularClassifier, to_omdd
 from svaudit.scan import (
     analyze_instance,
     build_omdd_from_dataset,
@@ -16,6 +16,7 @@ from svaudit.scan import (
     scan_model,
     summarize,
 )
+from svaudit.shapley import phi
 
 F = Fraction
 
@@ -109,6 +110,23 @@ def test_scan_sample_deterministic(k2_table):
 def test_scan_sample_covers_all_when_large(k1_table):
     records, _ = scan_model(k1_table, sample=100, seed=0)
     assert len(records) == 8
+
+
+@pytest.mark.parametrize("kind", ["table", "omdd"])
+def test_scan_computes_phi_empty_once(monkeypatch, kind):
+    # phi(empty) is one number per model: the scan asks phi for it once and
+    # its records equal those of each instance analyzed on its own
+    import svaudit.scan as scan
+    from oracle import random_table
+    model = random_table(random.Random(5), FeatureSpace((2, 3, 2, 2)))
+    if kind == "omdd":
+        model = to_omdd(model)
+    calls = []
+    monkeypatch.setattr(scan, "phi", lambda *a, **k: calls.append(a[1]) or phi(*a, **k))
+    records, _ = scan_model(model)
+    assert calls == [frozenset()]
+    assert records == tuple(analyze_instance(ExplanationProblem.of(model, p))
+                            for p in model.space.points())
 
 
 def test_scan_with_worker_pool(k1_table):
