@@ -125,7 +125,7 @@ def _cmd_synth(args) -> None:
 
 
 def _cmd_build_omdd(args) -> None:
-    from .scan import build_omdd_from_dataset, load_consistent_dataset
+    from .dataset import build_omdd_from_dataset, load_consistent_dataset
     dataset = load_consistent_dataset(args.data)
     omdd = build_omdd_from_dataset(dataset)
     _emit(model_io.model_to_json(omdd), args.out)

@@ -8,11 +8,10 @@ holds exactly when both exist and v_i > v_j. Scans walk the whole feature
 space (or a seeded sample without replacement) and emit plot-ready CSV
 records plus an aggregate summary.
 
-Dataset ingestion keeps the first occurrence of every feature vector and
-drops later contradicting rows, then completes the function with the
-majority class (ties broken toward the smallest label) before building a
-diagram. Shapley values always use the uniform distribution over the full
-feature space, also for dataset-born models.
+Dataset ingestion (``Dataset``, ``load_consistent_dataset``,
+``build_omdd_from_dataset``) lives in ``svaudit.dataset``, which loads no
+engine, and is exported from here. Shapley values always use the uniform
+distribution over the full feature space, also for dataset-born models.
 """
 
 from __future__ import annotations
@@ -20,14 +19,15 @@ from __future__ import annotations
 import csv
 import io
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+# re-exported: svaudit.scan stays the public home of the ingestion names
+from .dataset import Dataset, build_omdd_from_dataset, load_consistent_dataset
 from .errors import InputError
 from .explain import relevancy_report
-from .models import ExplanationProblem, FeatureSpace, Omdd, TabularClassifier, tabular_to_omdd
+from .models import ExplanationProblem, FeatureSpace
 from .rat import dec_str
 from .shapley import phi, shapley_values
 
@@ -170,108 +170,3 @@ def records_to_csv(records, space: FeatureSpace) -> str:
             "" if r.v_relevant_min is None else dec_str(r.v_relevant_min),
         ])
     return out.getvalue()
-
-
-# ---------------------------------------------------------------------------
-# Dataset ingestion
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Dataset:
-    """Consistent, integer-coded labelled rows plus the recorded code maps."""
-
-    feature_names: tuple[str, ...]
-    domain_sizes: tuple[int, ...]
-    value_maps: tuple[dict, ...]
-    class_map: Optional[dict]
-    rows: tuple[tuple[tuple[int, ...], int], ...]
-    dropped: int
-
-    @property
-    def space(self) -> FeatureSpace:
-        return FeatureSpace(self.domain_sizes, self.feature_names)
-
-
-def _column_codes(raw_values):
-    distinct = sorted(set(raw_values))
-    try:
-        ordered = sorted(distinct, key=int)
-    except ValueError:
-        ordered = distinct
-    # a constant column yields a one-value map; only diagram building, which
-    # needs a real feature space, rejects it
-    return {raw: code for code, raw in enumerate(ordered)}
-
-
-def load_consistent_dataset(path) -> Dataset:
-    """CSV with a header; last column is the class. Feature cells are mapped
-    to dense 0-based codes (numeric order when a column is all-integer,
-    lexicographic otherwise). Later rows contradicting an earlier feature
-    vector are dropped (first wins)."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fp:
-            reader = csv.reader(fp)
-            table = [row for row in reader if row and any(cell.strip() for cell in row)]
-    except UnicodeDecodeError as exc:
-        raise InputError(f"dataset {path} is not UTF-8 text: {exc}") from exc
-    except csv.Error as exc:
-        raise InputError(f"dataset {path} is not readable CSV: {exc}") from exc
-    if len(table) < 2:
-        raise InputError("dataset needs a header and at least one data row")
-    header = [cell.strip() for cell in table[0]]
-    if len(header) < 2:
-        raise InputError("dataset needs at least one feature column and a class column")
-    width = len(header)
-    body = []
-    for lineno, row in enumerate(table[1:], start=2):
-        if len(row) != width:
-            raise InputError(f"row {lineno} has {len(row)} cells, expected {width}")
-        body.append([cell.strip() for cell in row])
-
-    nfeat = width - 1
-    value_maps = [_column_codes([row[j] for row in body]) for j in range(nfeat)]
-
-    class_raw = [row[-1] for row in body]
-    try:
-        class_of = {raw: int(raw) for raw in set(class_raw)}
-        class_map = None
-    except ValueError:
-        class_of = _column_codes(class_raw)
-        class_map = dict(class_of)
-
-    seen = {}
-    rows = []
-    dropped = 0
-    for row in body:
-        point = tuple(value_maps[j][row[j]] for j in range(nfeat))
-        label = class_of[row[-1]]
-        if point in seen:
-            if seen[point] != label:
-                dropped += 1
-            continue
-        seen[point] = label
-        rows.append((point, label))
-    if not rows:
-        raise InputError("no consistent rows left")
-    return Dataset(
-        feature_names=tuple(header[:-1]),
-        domain_sizes=tuple(len(m) for m in value_maps),
-        value_maps=tuple(value_maps),
-        class_map=class_map,
-        rows=tuple(rows),
-        dropped=dropped,
-    )
-
-
-def build_omdd_from_dataset(dataset: Dataset) -> Omdd:
-    """Reduced diagram under column order agreeing with every dataset row;
-    points the dataset never mentions get the majority class (ties break
-    toward the smallest label)."""
-    space = dataset.space
-    counts = Counter(label for _, label in dataset.rows)
-    default = min(counts, key=lambda c: (-counts[c], c))
-    values = [default] * space.size
-    for point, label in dataset.rows:
-        values[space.index(point)] = label
-    table = TabularClassifier(space, tuple(values))  # rejects a constant completion
-    return tabular_to_omdd(table)

@@ -2,13 +2,16 @@
 
 Everything here works on a bare callable fn(point) -> class plus the domain
 sizes, straight from the definitions, so no library code path is reused on
-the oracle side of any comparison.
+the oracle side of any comparison. The dataset reference reads the CSV file
+itself, row by row.
 """
 
+import csv
 import itertools
 from fractions import Fraction
 from math import factorial
 
+from svaudit.dataset import Dataset
 from svaudit.errors import InputError
 from svaudit.models import DecisionTree, FeatureSpace, Leaf, Node, Omdd, TabularClassifier
 
@@ -176,6 +179,55 @@ def o_is_reduced(omdd):
 
     walk(omdd.root)
     return ok
+
+
+def o_dataset(path):
+    """Row-by-row reference for ``load_consistent_dataset``: read every row,
+    strip every cell, code each column from all its cells, then walk the rows
+    in file order keeping the first label of each point."""
+    with open(path, "r", encoding="utf-8", newline="") as fp:
+        table = [row for row in csv.reader(fp) if row and any(cell.strip() for cell in row)]
+    if len(table) < 2:
+        raise InputError("dataset needs a header and at least one data row")
+    header = [cell.strip() for cell in table[0]]
+    if len(header) < 2:
+        raise InputError("dataset needs at least one feature column and a class column")
+    width = len(header)
+    body = []
+    for lineno, row in enumerate(table[1:], start=2):
+        if len(row) != width:
+            raise InputError(f"row {lineno} has {len(row)} cells, expected {width}")
+        body.append([cell.strip() for cell in row])
+
+    def codes(raw_values):
+        distinct = sorted(set(raw_values))
+        try:
+            ordered = sorted(distinct, key=int)
+        except ValueError:
+            ordered = distinct
+        return {raw: code for code, raw in enumerate(ordered)}
+
+    value_maps = [codes([row[j] for row in body]) for j in range(width - 1)]
+    class_raw = [row[-1] for row in body]
+    try:
+        class_of = {raw: int(raw) for raw in class_raw}
+        class_map = None
+    except ValueError:
+        class_of = codes(class_raw)
+        class_map = dict(class_of)
+    seen = {}
+    rows = []
+    dropped = 0
+    for row in body:
+        point = tuple(value_maps[j][row[j]] for j in range(width - 1))
+        label = class_of[row[-1]]
+        if point in seen:
+            dropped += seen[point] != label
+            continue
+        seen[point] = label
+        rows.append((point, label))
+    return Dataset(tuple(header[:-1]), tuple(len(m) for m in value_maps), tuple(value_maps),
+                   class_map, tuple(rows), dropped)
 
 
 # ---------------------------------------------------------------------------

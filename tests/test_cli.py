@@ -307,6 +307,10 @@ MALFORMED_FILES = {  # name -> (command, file flag, file bytes)
     "dataset not UTF-8": ("build-omdd", "--data", b"x1,y\n\xe9,1\n0,0\n"),
     "dataset field past the csv limit": (
         "build-omdd", "--data", b"x1,y\n" + b"a" * 200_000 + b",1\n0,0\n"),
+    "dataset feature integer past the digit limit": (
+        "build-omdd", "--data", b"x1,y\n9,1\n10,0\n" + b"1" * 5000 + b",1\n"),
+    "dataset class integer past the digit limit": (
+        "build-omdd", "--data", b"x1,y\n0,1\n1," + b"7" * 5000 + b"\n"),
 }
 
 
@@ -347,6 +351,18 @@ def test_cli_import_leaves_the_process_pool_unloaded(tmp_path, k1_table):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
     assert json.loads((tmp_path / "explain.json").read_text())["relevant"] == [1]
+
+    # build-omdd loads no engine: no scan, explain, Shapley, family or rational code
+    (tmp_path / "data.csv").write_text("x1,x2,y\n0,0,0\n1,1,1\n", encoding="utf-8")
+    script = ("import sys; from svaudit.cli import main\n"
+              "assert main(['build-omdd', '--data', 'data.csv', '--out', 'data.json']) == 0\n"
+              "print(sorted(k for k in ('svaudit.scan', 'svaudit.explain', 'svaudit.shapley',\n"
+              "                         'svaudit.families', 'svaudit.rat', 'fractions',\n"
+              "                         'decimal') if k in sys.modules))")
+    proc = _child("-c", script, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    assert json.loads((tmp_path / "data.json").read_text())["type"] == "omdd"
 
 
 def test_synth_family_choices_are_the_family_ids():

@@ -1,10 +1,13 @@
 """Issue detection, corpus scans, dataset ingestion, diagram building."""
 
+import csv
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from svaudit.cli import main
 from svaudit.errors import InputError
 from svaudit.families import FamilySpec, instantiate, solve_family
 from svaudit.models import ExplanationProblem, FeatureSpace, TabularClassifier, to_omdd
@@ -201,8 +204,105 @@ def test_dataset_errors(tmp_path):
         load_consistent_dataset(empty)
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("a,b,label\n0,0,1\n0,1\n", encoding="utf-8")
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^row 3 has 2 cells, expected 3$"):
         load_consistent_dataset(ragged)
+
+
+@pytest.mark.parametrize("text,message", [
+    # the row number counts the header and every filled row, repeats included
+    ("\na,b,label\n,,\n0,0,1\n \n0,1\n", "row 3 has 2 cells, expected 3"),
+    ("a,b,label\n0,0,1\n0,0,1\n0,1,1,1\n0,0,1\n5\n", "row 4 has 4 cells, expected 3"),
+])
+def test_dataset_ragged_row_number(tmp_path, text, message):
+    path = tmp_path / "ragged.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InputError, match=f"^{message}$"):
+        load_consistent_dataset(path)
+
+
+def test_dataset_integer_past_the_digit_limit(tmp_path):
+    # one such cell would otherwise turn its column symbolic without notice
+    huge = "1" * 5000
+    path = tmp_path / "rows.csv"
+    path.write_text(f"x1,y\n9,1\n10,0\n{huge},1\n", encoding="utf-8")
+    with pytest.raises(InputError, match="column 'x1' holds an integer past"):
+        load_consistent_dataset(path)
+    path.write_text(f"x1,y\n0,1\n1,{huge}\n", encoding="utf-8")
+    with pytest.raises(InputError, match="column 'y' holds an integer past"):
+        load_consistent_dataset(path)
+    # in a column that is not all-integer the long literal is one more symbol
+    path.write_text(f"x1,y\nb,1\n{huge},0\n", encoding="utf-8")
+    assert load_consistent_dataset(path).value_maps == ({huge: 0, "b": 1},)
+
+
+_SYMBOLS = ("a", "b", " a", "b ", "a,b", "new\nline", 'say "hi"', "x1", "label")
+_INTEGERS = ("0", " 1", "1", "2 ", "07", "7", "+7", "-3", "1_0", "10")
+
+
+def _random_csv(rng, path):
+    """A seeded CSV with repeats, blank rows, whitespace variants of one value,
+    quoted commas and newlines, conflicting labels, a data row equal to the
+    header, and now and then a ragged row."""
+    m = rng.randint(1, 4)
+    header = [f" x{j + 1}" if rng.random() < 0.2 else f"x{j + 1}" for j in range(m)] + ["label"]
+    pools = [rng.sample(rng.choice((_SYMBOLS, _INTEGERS)), rng.randint(1, 4))
+             for _ in range(m + 1)]
+    rows = []
+    for _ in range(rng.randint(0, 30)):
+        roll = rng.random()
+        if rows and roll < 0.3:
+            rows.append(rng.choice(rows))
+        elif roll < 0.38:
+            rows.append(rng.choice([[], [""] * (m + 1), [" ", ""], ["  "]]))
+        elif roll < 0.41:
+            rows.append(list(header))
+        elif roll < 0.42:
+            rows.append(["0"] * rng.choice((m, m + 2)))
+        else:
+            rows.append([rng.choice(pool) for pool in pools])
+    with open(path, "w", encoding="utf-8", newline="") as fp:
+        writer = csv.writer(fp, lineterminator=rng.choice(("\n", "\r\n")))
+        writer.writerows([header] + rows)
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+def test_dataset_matches_the_row_by_row_reference(tmp_path):
+    from oracle import o_dataset
+    path = tmp_path / "rows.csv"
+    kinds = Counter()
+    for seed in range(300):
+        _random_csv(random.Random(seed), path)
+        expected = _outcome(o_dataset, path)
+        assert _outcome(load_consistent_dataset, path) == expected, seed
+        kinds[expected.split(" ")[1] if isinstance(expected, str) else
+              "dropped" if expected.dropped else "clean"] += 1
+    # the seeds reach clean and contradicting files, files with no data row
+    # and files with a ragged row
+    assert set(kinds) == {"clean", "dropped", "dataset", "row"}, kinds
+    assert min(kinds.values()) > 5, kinds
+
+
+def test_build_omdd_ignores_repeated_rows(tmp_path):
+    rng = random.Random(3)
+    lines = ["x1,x2,x3,label"] + [
+        f"{rng.randrange(2)},{rng.randrange(3)},{rng.randrange(2)},{rng.randrange(3)}"
+        for _ in range(40)]
+    once = tmp_path / "once.csv"
+    twice = tmp_path / "twice.csv"
+    once.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    twice.write_text("\n".join(lines + lines[1:]) + "\n", encoding="utf-8")
+    first, second = load_consistent_dataset(once), load_consistent_dataset(twice)
+    assert first.dropped > 0 and second.dropped == 2 * first.dropped
+    assert second.rows == first.rows
+    for path in (once, twice):
+        assert main(["build-omdd", "--data", str(path), "--out", str(path) + ".json"]) == 0
+    assert (tmp_path / "once.csv.json").read_bytes() == (tmp_path / "twice.csv.json").read_bytes()
 
 
 def test_build_omdd_covering_dataset_reproduces_k1(tmp_path, k1_table):
