@@ -16,23 +16,27 @@ from __future__ import annotations
 import csv
 import re
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InputError
-from .models import FeatureSpace, Omdd, TabularClassifier, tabular_to_omdd
+from .models import FeatureSpace, Omdd, TabularClassifier, _Frozen, _set, tabular_to_omdd
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(_Frozen):
     """Consistent, integer-coded labelled rows plus the recorded code maps."""
 
-    feature_names: tuple[str, ...]
-    domain_sizes: tuple[int, ...]
-    value_maps: tuple[dict, ...]
-    class_map: Optional[dict]
-    rows: tuple[tuple[tuple[int, ...], int], ...]
-    dropped: int
+    __slots__ = _fields = ("feature_names", "domain_sizes", "value_maps", "class_map", "rows",
+                           "dropped")
+
+    def __init__(self, feature_names: tuple[str, ...], domain_sizes: tuple[int, ...],
+                 value_maps: tuple[dict, ...], class_map: Optional[dict],
+                 rows: tuple[tuple[tuple[int, ...], int], ...], dropped: int):
+        _set(self, "feature_names", feature_names)
+        _set(self, "domain_sizes", domain_sizes)
+        _set(self, "value_maps", value_maps)
+        _set(self, "class_map", class_map)
+        _set(self, "rows", rows)
+        _set(self, "dropped", dropped)
 
     @property
     def space(self) -> FeatureSpace:
@@ -84,7 +88,8 @@ def load_consistent_dataset(path) -> Dataset:
     """CSV with a header; last column is the class. Feature cells are mapped
     to dense 0-based codes (numeric order when a column is all-integer,
     lexicographic otherwise). Later rows contradicting an earlier feature
-    vector are dropped (first wins). Blank rows are skipped."""
+    vector are dropped (first wins). Blank rows are skipped; a ragged row, or
+    a row that repeats the header (two files joined, say), is an error."""
     rows = _rows(path)
     header = next(filter(_filled, rows), None)
     counts = Counter(map(tuple, rows))  # raw rows in first-seen order
@@ -92,15 +97,19 @@ def load_consistent_dataset(path) -> Dataset:
     body = [(cells, n) for cells, n in stripped if any(cells)]
     if not body:
         raise InputError("dataset needs a header and at least one data row")
-    header = [cell.strip() for cell in header]
+    header = tuple(cell.strip() for cell in header)
     width = len(header)
     if width < 2:
         raise InputError("dataset needs at least one feature column and a class column")
-    if any(len(row) != width for row, _ in body):
+    if any(len(row) != width or row == header for row, _ in body):
         # the distinct rows lost their positions: number the filled rows again
         numbered = enumerate(filter(_filled, _rows(path)), start=1)
-        lineno, cells = next((k, len(row)) for k, row in numbered if len(row) != width)
-        raise InputError(f"row {lineno} has {cells} cells, expected {width}")
+        next(numbered)  # the header
+        for lineno, row in numbered:
+            if len(row) != width:
+                raise InputError(f"row {lineno} has {len(row)} cells, expected {width}")
+            if tuple(map(str.strip, row)) == header:
+                raise InputError(f"row {lineno} repeats the header")
 
     *columns, labels = map(set, zip(*(row for row, _ in body)))
     value_maps = [_column_codes(values, name) for values, name in zip(columns, header)]

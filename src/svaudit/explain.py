@@ -15,10 +15,9 @@ a recomputation over every CXp found so far.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import CapacityError, InputError
-from .models import ExplanationProblem, find_counterexample
+from .models import ExplanationProblem, _Frozen, _set, find_counterexample
 
 # Refuse to enumerate explanation families above this many features.
 EXPLAIN_CAP = 20
@@ -177,15 +176,19 @@ def _enumerate_duality(problem):
             hs = minimal_hitting_sets([Y], hs)
 
 
-@dataclass(frozen=True)
-class RelevancyReport:
+class RelevancyReport(_Frozen):
     """Complete explanation families plus the relevancy partition they induce."""
 
-    axps: tuple[frozenset[int], ...]
-    cxps: tuple[frozenset[int], ...]
-    relevant: frozenset[int]
-    necessary: frozenset[int]
-    irrelevant: frozenset[int]
+    __slots__ = _fields = ("axps", "cxps", "relevant", "necessary", "irrelevant")
+
+    def __init__(self, axps: tuple[frozenset[int], ...], cxps: tuple[frozenset[int], ...],
+                 relevant: frozenset[int], necessary: frozenset[int],
+                 irrelevant: frozenset[int]):
+        _set(self, "axps", axps)
+        _set(self, "cxps", cxps)
+        _set(self, "relevant", relevant)
+        _set(self, "necessary", necessary)
+        _set(self, "irrelevant", irrelevant)
 
     def to_json_dict(self) -> dict:
         return {

@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, NoSolutionError
 from .explain import relevancy_report
-from .models import ExplanationProblem, FeatureSpace, TabularClassifier
+from .models import ExplanationProblem, FeatureSpace, TabularClassifier, _Frozen, _set
 from .rat import rat_json
 from .shapley import shapley_values
 
@@ -99,14 +98,17 @@ def _cells_d(a, s, x):
     return s[2 * x[1] + x[2]] if x[3] == 1 else 0
 
 
-@dataclass(frozen=True)
-class _FamilyDef:
-    arity: int
-    domain_sizes: tuple[int, ...]
-    instance: tuple[int, ...]
-    sv: callable
-    cell: callable
-    alpha_forbidden: tuple[int, ...] = ()
+class _FamilyDef(_Frozen):
+    __slots__ = _fields = ("arity", "domain_sizes", "instance", "sv", "cell", "alpha_forbidden")
+
+    def __init__(self, arity: int, domain_sizes: tuple[int, ...], instance: tuple[int, ...],
+                 sv, cell, alpha_forbidden: tuple[int, ...] = ()):
+        _set(self, "arity", arity)
+        _set(self, "domain_sizes", domain_sizes)
+        _set(self, "instance", instance)
+        _set(self, "sv", sv)
+        _set(self, "cell", cell)
+        _set(self, "alpha_forbidden", alpha_forbidden)
 
 
 _FAMILIES = {
@@ -137,18 +139,16 @@ def _family_def(family: str) -> _FamilyDef:
     return _FAMILIES[key]
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_Frozen):
     """A family id plus integer parameters (alpha, sigma vector, scale psi)."""
 
-    family: str
-    alpha: int
-    sigmas: tuple[int, ...]
-    psi: int = 1
+    __slots__ = _fields = ("family", "alpha", "sigmas", "psi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "family", str(self.family).lower())
-        object.__setattr__(self, "sigmas", tuple(int(s) for s in self.sigmas))
+    def __init__(self, family: str, alpha: int, sigmas: tuple[int, ...], psi: int = 1):
+        _set(self, "family", str(family).lower())
+        _set(self, "alpha", alpha)
+        _set(self, "sigmas", tuple(int(s) for s in sigmas))
+        _set(self, "psi", psi)
         fam = _family_def(self.family)
         if len(self.sigmas) != fam.arity:
             raise InputError(

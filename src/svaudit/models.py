@@ -39,7 +39,6 @@ import functools
 import itertools
 import operator
 import weakref
-from dataclasses import dataclass, field
 from math import prod
 from typing import Iterator, Optional, Union
 
@@ -49,26 +48,63 @@ from .errors import CapacityError, InputError
 # raise it consciously if you really need more.
 ENUMERATION_CAP = 1 << 24
 
+_set = object.__setattr__  # constructors store their fields past the frozen ``__setattr__``
 
-@dataclass(frozen=True)
-class FeatureSpace:
+
+class _Frozen:
+    """Base of the immutable value classes. ``_fields`` names the constructor
+    arguments in order; equality (same class, equal fields), hashing, repr
+    and pickling read them, and any assignment raises ``AttributeError``."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    # Rebuild through the constructor, which checks the fields again: the
+    # default slot-state path would assign them through ``__setattr__``.
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class FeatureSpace(_Frozen):
     """Cartesian product of finite feature domains; values of feature i are
     0 .. domain_sizes[i]-1."""
 
-    domain_sizes: tuple[int, ...]
-    names: Optional[tuple[str, ...]] = None
+    __slots__ = _fields = ("domain_sizes", "names")
 
-    def __post_init__(self):
-        object.__setattr__(self, "domain_sizes", tuple(int(d) for d in self.domain_sizes))
-        if self.names is not None:
-            object.__setattr__(self, "names", tuple(str(n) for n in self.names))
-            if len(self.names) != len(self.domain_sizes):
+    def __init__(self, domain_sizes: tuple[int, ...], names: Optional[tuple[str, ...]] = None):
+        domain_sizes = tuple(int(d) for d in domain_sizes)
+        _set(self, "domain_sizes", domain_sizes)
+        if names is not None:
+            names = tuple(str(n) for n in names)
+            if len(names) != len(domain_sizes):
                 raise InputError("feature names do not match feature count")
-        if len(self.domain_sizes) < 1:
+        _set(self, "names", names)
+        if len(domain_sizes) < 1:
             raise InputError("need at least one feature")
-        if any(d < 2 for d in self.domain_sizes):
+        if any(d < 2 for d in domain_sizes):
             raise InputError("every feature domain needs at least two values")
-        if prod(self.domain_sizes) > ENUMERATION_CAP:
+        if prod(domain_sizes) > ENUMERATION_CAP:
             raise CapacityError(
                 f"feature space has more than {ENUMERATION_CAP} points")
 
@@ -142,19 +178,20 @@ def _class_value(c) -> int:
         raise InputError(f"class {c!r} is not an integer") from None
 
 
-@dataclass(frozen=True)
-class TabularClassifier:
+class TabularClassifier(_Frozen):
     """Complete truth table: one class value per point, mixed-radix order."""
 
-    space: FeatureSpace
-    values: tuple[int, ...]
+    # no ``__slots__``: the cached ``nodes`` lives in the instance ``__dict__``
+    _fields = ("space", "values")
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(map(_class_value, self.values)))
-        if len(self.values) != self.space.size:
+    def __init__(self, space: FeatureSpace, values: tuple[int, ...]):
+        values = tuple(map(_class_value, values))
+        _set(self, "space", space)
+        _set(self, "values", values)
+        if len(values) != space.size:
             raise InputError(
-                f"table has {len(self.values)} rows, space has {self.space.size} points")
-        if len(set(self.values)) < 2:
+                f"table has {len(values)} rows, space has {space.size} points")
+        if len(set(values)) < 2:
             raise InputError("classifier is constant; at least two classes must occur")
 
     @classmethod
@@ -178,27 +215,36 @@ class TabularClassifier:
         return to_omdd(self).nodes
 
 
-@dataclass(frozen=True)
-class Leaf:
-    class_value: int
+# ``Leaf`` and ``Node`` take weak references: the reducer's hash-cons table
+# may be a ``weakref.WeakValueDictionary``.
+class Leaf(_Frozen):
+    _fields = ("class_value",)
+    __slots__ = _fields + ("__weakref__",)
+
+    def __init__(self, class_value: int):
+        _set(self, "class_value", class_value)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Node:
+class Node(_Frozen):
     """Tests one feature; each edge carries the set of values that follow it."""
 
-    feature: int
-    edges: tuple[tuple[frozenset[int], Union["Node", Leaf]], ...]
+    _fields = ("feature", "edges")
+    __slots__ = _fields + ("__weakref__",)
 
-    # Compare and hash by identity (``eq=False``) and name the edge count,
-    # not the children: the generated methods would walk every path below a
-    # shared node.
+    def __init__(self, feature: int, edges: tuple[tuple[frozenset[int], Union["Node", Leaf]], ...]):
+        _set(self, "feature", feature)
+        _set(self, "edges", edges)
+
+    # Compare and hash by identity and name the edge count, not the children:
+    # by-value methods would walk every path below a shared node.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
     def __repr__(self):
         return f"Node(feature={self.feature}, edges={len(self.edges)})"
 
 
-@dataclass(frozen=True)
-class _DecisionGraph:
+class _DecisionGraph(_Frozen):
     """Read-once decision graph: the core of ``DecisionTree`` and ``Omdd``.
 
     Construction checks every node once and stores ``nodes``, the distinct
@@ -209,8 +255,7 @@ class _DecisionGraph:
     visited once.
     """
 
-    nodes: tuple = field(init=False, repr=False, compare=False)
-    classes: frozenset = field(init=False, repr=False, compare=False)
+    __slots__ = ("nodes", "classes")
 
     def _index(self, rank=None):
         """Validate the graph below ``root`` and store ``nodes`` and ``classes``.
@@ -276,8 +321,8 @@ class _DecisionGraph:
         visit(self.root, 0, -1)
         if len(classes) < 2:
             raise InputError("classifier is constant; at least two classes must occur")
-        object.__setattr__(self, "nodes", tuple(nodes))
-        object.__setattr__(self, "classes", frozenset(classes))
+        _set(self, "nodes", tuple(nodes))
+        _set(self, "classes", frozenset(classes))
 
     def evaluate(self, point) -> int:
         return self.lookup(self.space.validate_point(point))
@@ -296,8 +341,8 @@ class _DecisionGraph:
     def nonterminal_count(self) -> int:
         return sum(1 for f, _ in self.nodes if f is not None)
 
-    # Compare and hash the stored node list, not ``root``: the generated
-    # methods would walk ``root`` once per root-to-leaf path.
+    # Compare and hash the stored node list, not ``root``: by-value methods
+    # would walk ``root`` once per root-to-leaf path.
     def _key(self):
         return self.space, self.nodes
 
@@ -309,30 +354,29 @@ class _DecisionGraph:
     def __hash__(self):
         return hash(self._key())
 
-    # Name the node count, not ``root``: the generated repr would spell out
+    # Name the node count, not ``root``: a by-value repr would spell out
     # every root-to-leaf path.
     def __repr__(self):
         return f"{type(self).__name__}(space={self.space!r}, nodes={len(self.nodes)})"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class DecisionTree(_DecisionGraph):
     """Set-labelled decision tree; deterministic, total, read-once per path.
 
     Subtrees may be shared as long as every path stays read-once.
     """
 
-    space: FeatureSpace
-    root: Union[Node, Leaf]
+    __slots__ = _fields = ("space", "root")
 
-    def __post_init__(self):
+    def __init__(self, space: FeatureSpace, root: Union[Node, Leaf]):
+        _set(self, "space", space)
+        _set(self, "root", root)
         self._index()
 
     # each representation holds its own evaluate, so it can be wrapped alone
     evaluate = _DecisionGraph.evaluate
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Omdd(_DecisionGraph):
     """Ordered multi-valued decision diagram.
 
@@ -343,16 +387,17 @@ class Omdd(_DecisionGraph):
     No computation reads the order: it constrains and serializes the diagram.
     """
 
-    space: FeatureSpace
-    order: tuple[int, ...]
-    root: Union[Node, Leaf]
+    __slots__ = _fields = ("space", "order", "root")
 
-    def __post_init__(self):
-        object.__setattr__(self, "order", tuple(self.order))
-        if sorted(self.order) != list(range(self.space.m)):
-            raise InputError(f"order {self.order} is not a permutation of the features")
-        rank = [0] * self.space.m
-        for k, f in enumerate(self.order):
+    def __init__(self, space: FeatureSpace, order: tuple[int, ...], root: Union[Node, Leaf]):
+        order = tuple(order)
+        _set(self, "space", space)
+        _set(self, "order", order)
+        _set(self, "root", root)
+        if sorted(order) != list(range(space.m)):
+            raise InputError(f"order {order} is not a permutation of the features")
+        rank = [0] * space.m
+        for k, f in enumerate(order):
             rank[f] = k
         self._index(rank)
 
@@ -368,19 +413,19 @@ class Omdd(_DecisionGraph):
 Classifier = Union[TabularClassifier, DecisionTree, Omdd]
 
 
-@dataclass(frozen=True)
-class ExplanationProblem:
+class ExplanationProblem(_Frozen):
     """A classifier plus the instance (v, c) under analysis; c = model(v)."""
 
-    model: Classifier
-    point: tuple[int, ...]
-    predicted: int
+    __slots__ = _fields = ("model", "point", "predicted")
 
-    def __post_init__(self):
-        object.__setattr__(self, "point", self.model.space.validate_point(self.point))
-        if self.model.lookup(self.point) != self.predicted:
+    def __init__(self, model: Classifier, point: tuple[int, ...], predicted: int):
+        point = model.space.validate_point(point)
+        _set(self, "model", model)
+        _set(self, "point", point)
+        _set(self, "predicted", predicted)
+        if model.lookup(point) != predicted:
             raise InputError(
-                f"instance class {self.predicted} disagrees with the classifier")
+                f"instance class {predicted} disagrees with the classifier")
 
     @classmethod
     def of(cls, model: Classifier, point) -> "ExplanationProblem":

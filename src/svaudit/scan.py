@@ -10,8 +10,9 @@ records plus an aggregate summary.
 
 Dataset ingestion (``Dataset``, ``load_consistent_dataset``,
 ``build_omdd_from_dataset``) lives in ``svaudit.dataset``, which loads no
-engine, and is exported from here. Shapley values always use the uniform
-distribution over the full feature space, also for dataset-born models.
+engine, and is exported from here on first access. Shapley values always use
+the uniform distribution over the full feature space, also for dataset-born
+models.
 """
 
 from __future__ import annotations
@@ -19,38 +20,55 @@ from __future__ import annotations
 import csv
 import io
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-# re-exported: svaudit.scan stays the public home of the ingestion names
-from .dataset import Dataset, build_omdd_from_dataset, load_consistent_dataset
 from .errors import InputError
 from .explain import relevancy_report
-from .models import ExplanationProblem, FeatureSpace
+from .models import ExplanationProblem, FeatureSpace, _Frozen, _set
 from .rat import dec_str
 from .shapley import phi, shapley_values
 
 
-@dataclass(frozen=True)
-class ScanRecord:
+# svaudit.scan stays the public home of the ingestion names; they resolve on
+# first access (PEP 562), so a scan does not load the ingestion code
+_DATASET_NAMES = ("Dataset", "build_omdd_from_dataset", "load_consistent_dataset")
+
+
+def __getattr__(name):
+    if name not in _DATASET_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import dataset
+    value = globals()[name] = getattr(dataset, name)
+    return value
+
+
+class ScanRecord(_Frozen):
     """Everything the issue predicate needs for one instance."""
 
-    index: int
-    point: tuple[int, ...]
-    predicted: int
-    sv: tuple[Fraction, ...]
-    relevant: frozenset[int]
-    issue: bool
-    v_irrelevant_max: Optional[Fraction]
-    v_relevant_min: Optional[Fraction]
+    __slots__ = _fields = ("index", "point", "predicted", "sv", "relevant", "issue",
+                           "v_irrelevant_max", "v_relevant_min")
+
+    def __init__(self, index: int, point: tuple[int, ...], predicted: int,
+                 sv: tuple[Fraction, ...], relevant: frozenset[int], issue: bool,
+                 v_irrelevant_max: Optional[Fraction], v_relevant_min: Optional[Fraction]):
+        _set(self, "index", index)
+        _set(self, "point", point)
+        _set(self, "predicted", predicted)
+        _set(self, "sv", sv)
+        _set(self, "relevant", relevant)
+        _set(self, "issue", issue)
+        _set(self, "v_irrelevant_max", v_irrelevant_max)
+        _set(self, "v_relevant_min", v_relevant_min)
 
 
-@dataclass(frozen=True)
-class ScanSummary:
-    total: int
-    issues: int
-    zero_sv_relevant: int
+class ScanSummary(_Frozen):
+    __slots__ = _fields = ("total", "issues", "zero_sv_relevant")
+
+    def __init__(self, total: int, issues: int, zero_sv_relevant: int):
+        _set(self, "total", total)
+        _set(self, "issues", issues)
+        _set(self, "zero_sv_relevant", zero_sv_relevant)
 
     @property
     def fraction(self) -> float:

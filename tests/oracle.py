@@ -183,8 +183,9 @@ def o_is_reduced(omdd):
 
 def o_dataset(path):
     """Row-by-row reference for ``load_consistent_dataset``: read every row,
-    strip every cell, code each column from all its cells, then walk the rows
-    in file order keeping the first label of each point."""
+    strip every cell (the first ragged row, or row equal to the header, is an
+    error), code each column from all its cells, then walk the rows in file
+    order keeping the first label of each point."""
     with open(path, "r", encoding="utf-8", newline="") as fp:
         table = [row for row in csv.reader(fp) if row and any(cell.strip() for cell in row)]
     if len(table) < 2:
@@ -198,6 +199,8 @@ def o_dataset(path):
         if len(row) != width:
             raise InputError(f"row {lineno} has {len(row)} cells, expected {width}")
         body.append([cell.strip() for cell in row])
+        if body[-1] == header:
+            raise InputError(f"row {lineno} repeats the header")
 
     def codes(raw_values):
         distinct = sorted(set(raw_values))

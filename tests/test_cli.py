@@ -311,6 +311,7 @@ MALFORMED_FILES = {  # name -> (command, file flag, file bytes)
         "build-omdd", "--data", b"x1,y\n9,1\n10,0\n" + b"1" * 5000 + b",1\n"),
     "dataset class integer past the digit limit": (
         "build-omdd", "--data", b"x1,y\n0,1\n1," + b"7" * 5000 + b"\n"),
+    "dataset row repeating the header": ("build-omdd", "--data", b"x1,y\n9,0\n10,1\nx1,y\n"),
 }
 
 
@@ -332,8 +333,10 @@ def test_cli_import_leaves_the_process_pool_unloaded(tmp_path, k1_table):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
-    # the CLI module loads only what parsing an instance and loading a model need
-    script = "import sys, svaudit.cli; print(sorted(k for k in sys.modules if 'svaudit' in k))"
+    # the CLI module loads only what parsing an instance and loading a model
+    # need, and neither ``dataclasses`` nor the ``inspect`` it imports
+    script = ("import sys, svaudit.cli; print(sorted(k for k in sys.modules if 'svaudit' in k\n"
+              "                                     or k in ('dataclasses', 'inspect')))")
     proc = _child("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == repr(["svaudit", "svaudit.cli", "svaudit.errors",
@@ -363,6 +366,25 @@ def test_cli_import_leaves_the_process_pool_unloaded(tmp_path, k1_table):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
     assert json.loads((tmp_path / "data.json").read_text())["type"] == "omdd"
+
+    # no command loads dataclasses or inspect, and scan loads no ingestion code
+    instance = ["--model", "k1.json", "--instance", "1,0,0", "--out", "out.json"]
+    commands = [
+        ["explain", *instance], ["adversarial", *instance], ["shapley", *instance],
+        ["validate", *instance], ["scan", "--model", "k1.json", "--out", "out.csv"],
+        ["convert", "--model", "k1.json", "--to", "omdd", "--out", "out.json"],
+        ["build-omdd", "--data", "data.csv", "--out", "out.json"],
+        ["synth", "--family", "a", "--out", "out.json"],
+    ]
+    for argv in commands:
+        script = ("import sys; from svaudit.cli import main\n"
+                  f"assert main({argv!r}) == 0\n"
+                  "print(sorted(k for k in ('dataclasses', 'inspect', 'svaudit.dataset')\n"
+                  "             if k in sys.modules))")
+        proc = _child("-c", script, cwd=tmp_path)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        expected = ["svaudit.dataset"] if argv[0] == "build-omdd" else []
+        assert proc.stdout.splitlines()[-1] == repr(expected), argv  # scan prints its summary first
 
 
 def test_synth_family_choices_are_the_family_ids():

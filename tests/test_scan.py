@@ -220,6 +220,21 @@ def test_dataset_ragged_row_number(tmp_path, text, message):
         load_consistent_dataset(path)
 
 
+@pytest.mark.parametrize("text,message", [
+    # a row equal to the header once stripped (two files joined, say) would
+    # code the column names as values; numbered as a ragged row is
+    ("x1,y\n9,0\n10,1\nx1,y\n", "row 4 repeats the header"),
+    ("x1, y\n\n9,0\n x1 ,y\n9,0,0\n", "row 3 repeats the header"),
+    # the first offending row wins
+    ("x1,y\n9,0,0\nx1,y\n", "row 2 has 3 cells, expected 2"),
+])
+def test_dataset_row_repeating_the_header(tmp_path, text, message):
+    path = tmp_path / "joined.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InputError, match=f"^{message}$"):
+        load_consistent_dataset(path)
+
+
 def test_dataset_integer_past_the_digit_limit(tmp_path):
     # one such cell would otherwise turn its column symbolic without notice
     huge = "1" * 5000
@@ -272,6 +287,16 @@ def _outcome(load, path):
         return f"InputError: {exc}"
 
 
+def _kind(outcome):
+    if not isinstance(outcome, str):
+        return "dropped" if outcome.dropped else "clean"
+    for kind, words in (("empty", "at least one data row"), ("ragged", " cells, expected "),
+                        ("repeat", " repeats the header")):
+        if words in outcome:
+            return kind
+    return outcome
+
+
 def test_dataset_matches_the_row_by_row_reference(tmp_path):
     from oracle import o_dataset
     path = tmp_path / "rows.csv"
@@ -280,11 +305,10 @@ def test_dataset_matches_the_row_by_row_reference(tmp_path):
         _random_csv(random.Random(seed), path)
         expected = _outcome(o_dataset, path)
         assert _outcome(load_consistent_dataset, path) == expected, seed
-        kinds[expected.split(" ")[1] if isinstance(expected, str) else
-              "dropped" if expected.dropped else "clean"] += 1
-    # the seeds reach clean and contradicting files, files with no data row
-    # and files with a ragged row
-    assert set(kinds) == {"clean", "dropped", "dataset", "row"}, kinds
+        kinds[_kind(expected)] += 1
+    # the seeds reach clean and contradicting files, files with no data row,
+    # with a ragged row and with a row that repeats the header
+    assert set(kinds) == {"clean", "dropped", "empty", "ragged", "repeat"}, kinds
     assert min(kinds.values()) > 5, kinds
 
 
