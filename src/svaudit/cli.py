@@ -132,6 +132,8 @@ def _cmd_build_omdd(args) -> None:
 
 
 def _cmd_convert(args) -> None:
+    if args.to == "table" and args.order is not None:
+        raise UsageError("--order applies to --to omdd, not --to table")
     model = model_io.load_model(args.model)
     if args.to == "table":
         out_model = to_tabular(model)

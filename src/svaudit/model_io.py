@@ -27,6 +27,7 @@ reduced diagram as it is, so the in-memory diagram is always reduced.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from .errors import InputError
 from .models import (
@@ -62,7 +63,28 @@ def save_model(model: Classifier, path) -> None:
 
 
 def model_to_json(model: Classifier) -> str:
-    return json.dumps(model_to_dict(model), indent=2) + "\n"
+    """``json.dumps(model_to_dict(model), indent=2)`` and a newline, written
+    without the pure-Python encoder that ``json`` falls back to when given
+    an indent."""
+    return _indented(model_to_dict(model), "\n") + "\n"
+
+
+def _indented(obj, newline) -> str:
+    """Indent-2 JSON of a document of dicts, lists, strings and ints; ``newline``
+    is a line break followed by the indent of the line ``obj`` starts on."""
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if type(obj) is dict:
+        if not obj:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _indented(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if not obj:
+        return "[]"
+    return "[" + inner + ("," + inner).join([_indented(x, inner) for x in obj]) + newline + "]"
 
 
 def _space_from_doc(doc) -> FeatureSpace:

@@ -13,8 +13,11 @@ Trees and diagrams share one read-once graph core: one ``Node`` and one
 first, and one pass per computation over that list. A tree may share
 subtrees, so every cost is polynomial in the node count, not the path count.
 
-One reducer (merge isomorphic nodes, join the edges that reach one child,
-elide a node left with one child) builds every OMDD, edges by smallest
+One reducer builds every OMDD: a unique table over integer ids (Bryant,
+1986), where a node is keyed by its feature and its child's id for each
+value, so isomorphic nodes share an id, and a node whose values all lead to
+one child is that child. ``Node`` and ``Leaf`` objects are made once, at the
+end, for the ids the root reaches, edges grouped by child in order of first
 value. ``to_omdd`` (also ``tabular_to_omdd``) collapses a table's axes
 through it, and folds a tree's or a diagram's node list through it, children
 first, under any variable order: where a child starts earlier in the order
@@ -38,7 +41,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import weakref
 from math import prod
 from typing import Iterator, Optional, Union
 
@@ -215,11 +217,8 @@ class TabularClassifier(_Frozen):
         return to_omdd(self).nodes
 
 
-# ``Leaf`` and ``Node`` take weak references: the reducer's hash-cons table
-# may be a ``weakref.WeakValueDictionary``.
 class Leaf(_Frozen):
-    _fields = ("class_value",)
-    __slots__ = _fields + ("__weakref__",)
+    __slots__ = _fields = ("class_value",)
 
     def __init__(self, class_value: int):
         _set(self, "class_value", class_value)
@@ -228,8 +227,7 @@ class Leaf(_Frozen):
 class Node(_Frozen):
     """Tests one feature; each edge carries the set of values that follow it."""
 
-    _fields = ("feature", "edges")
-    __slots__ = _fields + ("__weakref__",)
+    __slots__ = _fields = ("feature", "edges")
 
     def __init__(self, feature: int, edges: tuple[tuple[frozenset[int], Union["Node", Leaf]], ...]):
         _set(self, "feature", feature)
@@ -550,139 +548,137 @@ def to_tabular(model: Classifier) -> TabularClassifier:
     return TabularClassifier.from_function(model.space, model.lookup)
 
 
-def _reducer(unique):
-    """The reduction rule (Bryant, 1986): ``leaf(c)`` and ``node(f, [(values,
-    child), ...])`` over already-reduced children. ``node`` joins the edges
-    that reach one child (in the order children first occur), returns the
-    child when no other is left, and else the one node with these edges.
+def _reducer(order, sizes):
+    """The reduction rule (Bryant, 1986) as one unique table over integer ids.
 
-    ``unique`` is the hash-cons table, empty at the start: a ``dict``, or a
-    ``weakref.WeakValueDictionary`` for a build whose intermediate nodes die
-    before it ends. A live entry holds its children, so the ids in its key
-    stay those of live nodes."""
+    ``leaf(c)`` and ``node(f, kids)``, where ``kids[x]`` is the id of the
+    reduced child that value x of f leads to, return the id of the one
+    diagram with that key, ``c`` or ``(f, *kids)``; ``node`` returns the
+    child when every value leads to it. So isomorphic nodes share an id and
+    the edges to one child are joined. ``merge`` is ``node`` over children
+    that may start earlier in ``order`` than f. ``build(root)`` makes the
+    ``Leaf`` and ``Node`` objects once, for the ids ``root`` reaches, each
+    node's edges grouped by child in order of first value."""
+    rank = [0] * len(order)
+    for k, f in enumerate(order):
+        rank[f] = k
+    unique = {}
+    rows = []  # id -> its key
+    tops = []  # id -> order position of the feature it tests; len(order) for a leaf
 
     def leaf(c):
         out = unique.get(c)
         if out is None:
-            out = unique[c] = Leaf(c)
+            out = unique[c] = len(rows)
+            rows.append(c)
+            tops.append(len(order))
         return out
 
-    def node(f, edges):
-        groups = {}
-        for values, child in edges:
-            groups.setdefault(id(child), (child, set()))[1].update(values)
-        if len(groups) == 1:
-            return child
-        edges = tuple((frozenset(vals), ch) for ch, vals in groups.values())
-        key = (f, frozenset((vals, id(ch)) for vals, ch in edges))
+    def node(f, kids):
+        first = kids[0]
+        if kids.count(first) == len(kids):
+            return first
+        key = (f, *kids)
         out = unique.get(key)
         if out is None:
-            out = unique[key] = Node(f, edges)
+            out = unique[key] = len(rows)
+            rows.append(key)
+            tops.append(rank[f])
         return out
 
-    return leaf, node
+    def merge(f, kids, memo):
+        """Reduced diagram of "follow ``kids[x_f]``" over reduced children
+        that do not test f. If every child starts later in the order than f,
+        this is ``node``. Otherwise split on the earliest feature g that
+        starts a child (Bryant's apply; Srinivasan et al., 1990, for
+        many-valued features): a child's cofactor on g = x is its x-th child
+        if it starts with g and the child itself if not (it cannot test g
+        below its top), and each list of cofactors is merged again. ``memo``
+        holds the splits of one stored node, keyed on its children."""
+        top = min(map(tops.__getitem__, kids))
+        if top > rank[f]:
+            return node(f, kids)
+        kids = tuple(kids)
+        out = memo.get(kids)
+        if out is None:
+            d = sizes[order[top]]
+            cofactors = [rows[c][1:] if tops[c] == top else (c,) * d for c in kids]
+            out = memo[kids] = node(order[top], [merge(f, by_value, memo)
+                                                 for by_value in zip(*cofactors)])
+        return out
+
+    def build(root):
+        made = {}
+
+        def make(i):
+            out = made.get(i)
+            if out is None:
+                key = rows[i]
+                if tops[i] == len(order):
+                    out = Leaf(key)
+                else:
+                    groups = {}
+                    for x, c in enumerate(key[1:]):
+                        groups.setdefault(c, []).append(x)
+                    out = Node(key[0], tuple((frozenset(xs), make(c)) for c, xs in groups.items()))
+                made[i] = out
+            return out
+
+        return make(root)
+
+    return leaf, node, merge, build
 
 
 def to_omdd(model: Classifier, order=None) -> Omdd:
     """Reduced canonical OMDD of a classifier under a variable order (the
-    features in their own order by default).
+    features in their own order by default), built on ``_reducer``'s ids.
 
     A table collapses its axes one at a time, the last feature of the order
     first: each group of entries along the axis becomes one reducer ``node``.
     A tree or a diagram is folded children first over its stored node list
     (see ``_fold``), so no table is built and the cost follows the graph and
-    the result, not the point count.
+    the result, not the point count. Only the result's nodes become objects.
     """
     space = model.space
     order = tuple(order) if order is not None else tuple(range(space.m))
     if sorted(order) != list(range(space.m)):
         raise InputError(f"order {order} is not a permutation of the features")
     if not isinstance(model, TabularClassifier):
-        root = _fold(model.nodes, order, space.domain_sizes, weakref.WeakValueDictionary())
-        return Omdd(space, order, root)
-    leaf, node = _reducer({})  # every node built here lives to the end
-    cells = [leaf(c) for c in model.values]
-    sizes = list(space.domain_sizes)  # a collapsed axis keeps size 1
+        return Omdd(space, order, _fold(model.nodes, order, space.domain_sizes))
+    leaf, node, _, build = _reducer(order, space.domain_sizes)
+    cells = list(map(leaf, model.values))
+    axes = list(space.domain_sizes)  # a collapsed axis keeps size 1
     for f in reversed(order):
-        d, stride = sizes[f], prod(sizes[f + 1:])
-        sizes[f] = 1
+        d, stride = axes[f], prod(axes[f + 1:])
+        axes[f] = 1
         block = d * stride
-        cells = [node(f, [((x,), c) for x, c in enumerate(cells[i:i + block:stride])])
+        cells = [node(f, cells[i:i + block:stride])
                  for start in range(0, len(cells), block)
                  for i in range(start, start + stride)]
-    return Omdd(space, order, cells[0])
+    return Omdd(space, order, build(cells[0]))
 
 
 # One function object: the traced benchmark finds it under the old name.
 tabular_to_omdd = to_omdd
 
 
-def _fold(nodes, order, sizes, unique):
+def _fold(nodes, order, sizes):
     """Root of the reduced OMDD under ``order`` of the read-once graph stored
-    children first in ``nodes``: each stored node goes through ``_merge``
-    once its children are reduced, with ``unique`` as the reducer's table.
-
-    Edges go to ``_merge`` by smallest value, the order the table collapse
-    uses. A child's result is dropped after its last parent used it. A split
-    leaves behind the nodes above the cofactors it took, so a fold that may
-    split needs a weak table, which forgets them as they die; an unsplit
-    fold builds no node that dies."""
-    rank = [0] * len(order)
-    for k, f in enumerate(order):
-        rank[f] = k
-    leaf, node = _reducer(unique)
-    last = [0] * len(nodes)  # position of each stored node's last parent
-    for k, (f, edges) in enumerate(nodes):
-        if f is not None:
-            for _, c in edges:
-                last[c] = k
-    out = [None] * len(nodes)
-    for k, (f, edges) in enumerate(nodes):
+    children first in ``nodes``: each stored node goes through the reducer's
+    ``merge`` once its children are reduced, which splits it where a child
+    starts earlier in ``order`` than the node."""
+    leaf, _, merge, build = _reducer(order, sizes)
+    out = []
+    for f, edges in nodes:
         if f is None:
-            out[k] = leaf(edges)
+            out.append(leaf(edges))
             continue
-        edges = sorted(edges, key=lambda e: min(e[0]))
-        out[k] = _merge(f, [(values, out[c]) for values, c in edges], {}, rank, sizes, node)
-        for _, c in edges:
-            if last[c] == k:
-                out[c] = None
-    return out[-1]
-
-
-def _merge(f, edges, memo, rank, sizes, node):
-    """Reduced OMDD of "follow the edge whose values hold x_f" over reduced
-    children that do not test f.
-
-    If every child starts later in the order than f, this is one reducer
-    ``node``. Otherwise split on the earliest feature g that starts a child
-    (Bryant's apply; Srinivasan et al., 1990, for many-valued features):
-    cofactor each child on every value of g, which is its g-edge's target
-    if it starts with g and the child itself if not (it cannot test g
-    below its top), and merge each cofactor list again. ``memo`` holds the
-    splits of one stored node, keyed on its children's identities."""
-    g, top = None, rank[f]
-    for _, child in edges:
-        if type(child) is Node and rank[child.feature] < top:
-            g, top = child.feature, rank[child.feature]
-    if g is None:
-        return node(f, edges)
-    key = tuple(child for _, child in edges)
-    out = memo.get(key)
-    if out is None:
-        d = sizes[g]
-        cofactors = []
-        for values, child in edges:
-            by_value = [child] * d
-            if type(child) is Node and child.feature == g:
-                for vals, grandchild in child.edges:
-                    for x in vals:
-                        by_value[x] = grandchild
-            cofactors.append((values, by_value))
-        out = memo[key] = node(g, [
-            ((x,), _merge(f, [(values, by_value[x]) for values, by_value in cofactors],
-                          memo, rank, sizes, node))
-            for x in range(d)])
-    return out
+        kids = [0] * sizes[f]
+        for values, c in edges:
+            for x in values:
+                kids[x] = out[c]
+        out.append(merge(f, kids, {}))
+    return build(out[-1])
 
 
 def reduce_omdd(omdd: Omdd) -> Omdd:
@@ -691,7 +687,7 @@ def reduce_omdd(omdd: Omdd) -> Omdd:
     parent, so no node is split."""
     if is_reduced(omdd):
         return omdd
-    root = _fold(omdd.nodes, omdd.order, omdd.space.domain_sizes, {})
+    root = _fold(omdd.nodes, omdd.order, omdd.space.domain_sizes)
     return Omdd(omdd.space, omdd.order, root)
 
 

@@ -268,6 +268,15 @@ def _partition(rng, values):
     return [frozenset(g) for g in groups]
 
 
+def uneven_partition(rng, values):
+    """Shuffled values cut at random places: group sizes vary, so a domain
+    of 4 may split 3 + 1 (``_partition`` deals round-robin and cannot)."""
+    values = list(values)
+    rng.shuffle(values)
+    cuts = sorted(rng.sample(range(1, len(values)), rng.randint(0, len(values) - 1)))
+    return [frozenset(values[a:b]) for a, b in zip([0, *cuts], [*cuts, len(values)])]
+
+
 def random_dt(rng, space, classes=3, stop=0.25):
     """Random read-once set-labelled tree over the given space (non-constant)."""
 
@@ -308,9 +317,10 @@ def k_of_n_tree(n, k):
     return DecisionTree(FeatureSpace((2,) * n), grow(0, 0))
 
 
-def random_dag(rng, space, classes=range(3), stop=0.25, share=0.4):
+def random_dag(rng, space, classes=range(3), stop=0.25, share=0.4, partition=_partition):
     """Random read-once tree with shared subtrees (non-constant): an edge may
-    point to any subtree built so far that tests no feature on its path."""
+    point to any subtree built so far that tests no feature on its path.
+    ``partition(rng, values)`` draws each node's edge labels."""
     while True:
         built = []  # (node, features tested in it)
         seen = set()
@@ -325,7 +335,7 @@ def random_dag(rng, space, classes=range(3), stop=0.25, share=0.4):
                 out = (Leaf(c), frozenset())
             else:
                 f = rng.choice(sorted(avail))
-                kids = [(g, grow(avail - {f})) for g in _partition(rng, range(space.domain_sizes[f]))]
+                kids = [(g, grow(avail - {f})) for g in partition(rng, range(space.domain_sizes[f]))]
                 out = (Node(f, tuple((g, node) for g, (node, _) in kids)),
                        frozenset({f}).union(*(tested for _, (_, tested) in kids)))
             built.append(out)

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from oracle import k_of_n_tree
 from svaudit import cli
 from svaudit.cli import UsageError, main, parse_instance
 from svaudit.errors import InputError
@@ -207,6 +208,22 @@ def test_convert_rejects_bad_order(capsys, k1_path):
                "--order", "0,1,2")[0] == 2
     assert run(capsys, "convert", "--model", k1_path, "--to", "omdd",
                "--order", "a,b,c")[0] == 2
+
+
+def test_convert_to_table_rejects_an_order(capsys, tmp_path):
+    # a table has no variable order: --order is a usage error there, not
+    # silently dropped, whether or not it would be a valid permutation
+    tree_path = tmp_path / "tree.json"
+    save_model(k_of_n_tree(8, 4), tree_path)
+    out_path = tmp_path / "table.json"
+    for order in ("1,2", "8,7,6,5,4,3,2,1"):
+        code, out, err = run(capsys, "convert", "--model", str(tree_path), "--to", "table",
+                             "--order", order, "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert "--order applies to --to omdd" in err
+        assert not out_path.exists()
+    assert run(capsys, "convert", "--model", str(tree_path), "--to", "table",
+               "--out", str(out_path))[0] == 0
 
 
 def _chain_doc(kind):

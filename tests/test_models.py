@@ -8,12 +8,14 @@ import pytest
 
 from oracle import (
     all_points,
+    k_of_n_tree,
     o_is_reduced,
     random_dag,
     random_dt,
     random_raw_omdd,
     random_space,
     random_table,
+    uneven_partition,
 )
 from svaudit.errors import CapacityError, InputError
 from svaudit.model_io import load_model, model_from_dict, model_to_dict, model_to_json, save_model
@@ -496,8 +498,15 @@ def test_to_omdd_of_a_graph_equals_the_table_collapse_under_any_order():
         space = random_space(rng, max_features=6, domain_pool=(2, 3, 4))
         models.append(random_dag(rng, space, stop=rng.choice((0.05, 0.15, 0.3))))
         models.append(random_raw_omdd(rng))
+    for _ in range(100):  # labels of uneven sizes, such as 3 + 1 values
+        space = random_space(rng, max_features=6, domain_pool=(3, 4))
+        models.append(random_dag(rng, space, stop=0.15, partition=uneven_partition))
     models += [random_table(rng, domain_pool=(2, 3)) for _ in range(50)]
+    labels = Counter()  # (domain size, label size) of every edge the fold reads
     for model in models:
+        if not isinstance(model, TabularClassifier):
+            labels.update((model.space.domain_sizes[f], len(values))
+                          for f, edges in model.nodes if f is not None for values, _ in edges)
         order = list(range(model.space.m))
         rng.shuffle(order)
         omdd = to_omdd(model, order)
@@ -507,6 +516,60 @@ def test_to_omdd_of_a_graph_equals_the_table_collapse_under_any_order():
         assert reduce_omdd(omdd) == omdd
     with pytest.raises(InputError):
         to_omdd(models[0], [0] * models[0].space.m)
+    # edges joining several values, on domains up to 4, went through the fold
+    assert min(labels[3, 2], labels[4, 2], labels[4, 3]) > 50
+
+
+def test_to_omdd_makes_objects_only_for_the_result(monkeypatch):
+    # the fold and its splits work on ids: the only Node objects made are
+    # the result's internal nodes, and the only Leaf objects its leaves
+    made = Counter()
+    for cls in (Node, Leaf):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, _init=init, _cls=cls:
+                            made.update((_cls,)) or _init(self, *a))
+    rng = random.Random(31)
+    trees = [k_of_n_tree(8, 4)]
+    for _ in range(60):
+        space = random_space(rng, max_features=6, domain_pool=(2, 3, 4))
+        trees.append(random_dag(rng, space, stop=0.1))
+    splits = 0
+    for tree in trees:
+        order = list(reversed(range(tree.space.m)))
+        made.clear()
+        omdd = to_omdd(tree, order)
+        assert made[Node] == omdd.nonterminal_count()
+        assert made[Leaf] == len(omdd.nodes) - omdd.nonterminal_count()
+        # a node below the root tests a feature that comes earlier in the
+        # order than the root's, so the fold had to split
+        splits += any(f is not None and order.index(f) < order.index(tree.root.feature)
+                      for f, _ in tree.nodes)
+        assert omdd == to_omdd(to_tabular(tree), order)
+    assert splits > 30
+
+
+# name characters that need escapes or lie outside ASCII
+_NAME_CHARS = ("a", "x1", " ", "/", "\u00e9", "\u00df", "\u03a9", "\u6f22", "\U0001f600",
+               '"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028")
+
+
+def test_model_to_json_writes_the_bytes_json_dumps_writes():
+    rng = random.Random(2718)
+    classes = (-7, -1, 0, 3)
+    escaped = 0
+    for _ in range(150):
+        sizes = random_space(rng, max_features=5, domain_pool=(2, 3, 4)).domain_sizes
+        names = tuple("".join(rng.choice(_NAME_CHARS) for _ in range(rng.randint(0, 5)))
+                      for _ in sizes)
+        space = FeatureSpace(sizes, names)
+        tree = random_dag(rng, space, classes=classes)  # shares subtrees
+        order = list(range(space.m))
+        rng.shuffle(order)
+        for model in (to_tabular(tree), tree, to_omdd(tree, order)):
+            text = model_to_json(model)
+            assert text == json.dumps(model_to_dict(model), indent=2) + "\n"
+            escaped += "\\u" in text
+    assert escaped > 100
 
 
 def test_enumeration_cap_on_cube(k1_table, monkeypatch):
