@@ -14,18 +14,13 @@ import itertools
 
 from .errors import NoSolutionError
 from .explain import enumerate_explanations
-from .models import ExplanationProblem, _Frozen, _set
+from .models import ExplanationProblem, _Frozen
 
 
 class AdversarialSet(_Frozen):
     """A change-set plus one witness differing from the instance exactly there."""
 
     __slots__ = _fields = ("changed", "witness", "class_value")
-
-    def __init__(self, changed: frozenset[int], witness: tuple[int, ...], class_value: int):
-        _set(self, "changed", changed)
-        _set(self, "witness", witness)
-        _set(self, "class_value", class_value)
 
     def to_json_dict(self) -> dict:
         return {

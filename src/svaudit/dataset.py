@@ -16,10 +16,9 @@ from __future__ import annotations
 import csv
 import re
 from collections import Counter
-from typing import Optional
 
 from .errors import InputError
-from .models import FeatureSpace, Omdd, TabularClassifier, _Frozen, _set, tabular_to_omdd
+from .models import FeatureSpace, Omdd, TabularClassifier, _Frozen, tabular_to_omdd
 
 
 class Dataset(_Frozen):
@@ -27,16 +26,6 @@ class Dataset(_Frozen):
 
     __slots__ = _fields = ("feature_names", "domain_sizes", "value_maps", "class_map", "rows",
                            "dropped")
-
-    def __init__(self, feature_names: tuple[str, ...], domain_sizes: tuple[int, ...],
-                 value_maps: tuple[dict, ...], class_map: Optional[dict],
-                 rows: tuple[tuple[tuple[int, ...], int], ...], dropped: int):
-        _set(self, "feature_names", feature_names)
-        _set(self, "domain_sizes", domain_sizes)
-        _set(self, "value_maps", value_maps)
-        _set(self, "class_map", class_map)
-        _set(self, "rows", rows)
-        _set(self, "dropped", dropped)
 
     @property
     def space(self) -> FeatureSpace:

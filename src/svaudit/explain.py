@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import CapacityError, InputError
-from .models import ExplanationProblem, _Frozen, _set, find_counterexample
+from .models import ExplanationProblem, _Frozen, find_counterexample
 
 # Refuse to enumerate explanation families above this many features.
 EXPLAIN_CAP = 20
@@ -38,22 +38,24 @@ def is_counterfactual(problem: ExplanationProblem, S) -> bool:
 
 def one_axp(problem: ExplanationProblem, elimination_order=None) -> frozenset[int]:
     """Deletion-based extraction of one AXp (default order: ascending index)."""
-    order = _elimination_order(problem, elimination_order)
-    X = set(range(problem.m))
-    for t in order:
-        if is_sufficient(problem, X - {t}):
-            X.discard(t)
-    return frozenset(X)
+    return _shrink(problem, is_sufficient, _elimination_order(problem, elimination_order))
 
 
 def one_cxp(problem: ExplanationProblem, elimination_order=None) -> frozenset[int]:
     """Deletion-based extraction of one CXp (default order: ascending index)."""
-    order = _elimination_order(problem, elimination_order)
-    Y = set(range(problem.m))
+    return _shrink(problem, is_counterfactual, _elimination_order(problem, elimination_order))
+
+
+def _shrink(problem, holds, order):
+    """Deletion loop: drop each feature of ``order`` in turn while ``holds``
+    stays true of the rest, which leaves a subset-minimal set for a monotone
+    predicate that holds on all of ``order``. Callers pass the predicate as
+    the module holds it, so a wrapped predicate is the one called."""
+    X = set(order)
     for t in order:
-        if is_counterfactual(problem, Y - {t}):
-            Y.discard(t)
-    return frozenset(Y)
+        if holds(problem, X - {t}):
+            X.discard(t)
+    return frozenset(X)
 
 
 def _elimination_order(problem, order):
@@ -166,12 +168,8 @@ def _enumerate_duality(problem):
             axps.append(candidate)
             axp_set.add(candidate)
         else:
-            diff = {i for i in range(problem.m) if cex[i] != problem.point[i]}
-            Y = set(diff)
-            for t in sorted(diff):
-                if is_counterfactual(problem, Y - {t}):
-                    Y.discard(t)
-            Y = frozenset(Y)
+            Y = _shrink(problem, is_counterfactual,
+                        [i for i in range(problem.m) if cex[i] != problem.point[i]])
             cxps.append(Y)
             hs = minimal_hitting_sets([Y], hs)
 
@@ -180,15 +178,6 @@ class RelevancyReport(_Frozen):
     """Complete explanation families plus the relevancy partition they induce."""
 
     __slots__ = _fields = ("axps", "cxps", "relevant", "necessary", "irrelevant")
-
-    def __init__(self, axps: tuple[frozenset[int], ...], cxps: tuple[frozenset[int], ...],
-                 relevant: frozenset[int], necessary: frozenset[int],
-                 irrelevant: frozenset[int]):
-        _set(self, "axps", axps)
-        _set(self, "cxps", cxps)
-        _set(self, "relevant", relevant)
-        _set(self, "necessary", necessary)
-        _set(self, "irrelevant", irrelevant)
 
     def to_json_dict(self) -> dict:
         return {

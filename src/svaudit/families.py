@@ -100,15 +100,7 @@ def _cells_d(a, s, x):
 
 class _FamilyDef(_Frozen):
     __slots__ = _fields = ("arity", "domain_sizes", "instance", "sv", "cell", "alpha_forbidden")
-
-    def __init__(self, arity: int, domain_sizes: tuple[int, ...], instance: tuple[int, ...],
-                 sv, cell, alpha_forbidden: tuple[int, ...] = ()):
-        _set(self, "arity", arity)
-        _set(self, "domain_sizes", domain_sizes)
-        _set(self, "instance", instance)
-        _set(self, "sv", sv)
-        _set(self, "cell", cell)
-        _set(self, "alpha_forbidden", alpha_forbidden)
+    _defaults = {"alpha_forbidden": ()}
 
 
 _FAMILIES = {

@@ -55,14 +55,39 @@ _set = object.__setattr__  # constructors store their fields past the frozen ``_
 
 class _Frozen:
     """Base of the immutable value classes. ``_fields`` names the constructor
-    arguments in order; equality (same class, equal fields), hashing, repr
-    and pickling read them, and any assignment raises ``AttributeError``."""
+    arguments in order and ``_defaults`` the values of those that may be
+    left out. The constructor stores its arguments as they are; a class that
+    converts or checks them defines its own. Equality (same class, equal
+    ``_key()``, by default the field values), hashing, repr and pickling read
+    the fields, and any assignment raises ``AttributeError``."""
 
     __slots__ = ()
     _fields = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            cls = type(self).__name__
+            if len(args) > len(names):
+                raise TypeError(f"{cls}() takes {len(names)} arguments, {len(args)} given")
+            for name in kwargs:
+                if name not in names:
+                    raise TypeError(f"{cls}() got an unexpected argument {name!r}")
+                if name in names[:len(args)]:
+                    raise TypeError(f"{cls}() got multiple values for {name!r}")
+            given = {**self._defaults, **dict(zip(names, args)), **kwargs}
+            missing = [name for name in names if name not in given]
+            if missing:
+                raise TypeError(f"{cls}() is missing {', '.join(map(repr, missing))}")
+            args = [given[name] for name in names]
+        for name, value in zip(names, args):
+            _set(self, name, value)
 
     def _values(self):
         return tuple(getattr(self, name) for name in self._fields)
+
+    _key = _values
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -73,10 +98,10 @@ class _Frozen:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._key())
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -129,13 +154,13 @@ class FeatureSpace(_Frozen):
         if len(point) != self.m:
             raise InputError(f"point has {len(point)} coordinates, expected {self.m}")
         for i, (x, d) in enumerate(zip(point, self.domain_sizes)):
-            if not isinstance(x, int) or not 0 <= x < d:
+            if type(x) is not int or not 0 <= x < d:
                 raise InputError(f"value {x!r} of feature {i + 1} outside 0..{d - 1}")
         return point
 
     def validate_subset(self, features) -> frozenset[int]:
         S = frozenset(features)
-        if not all(isinstance(i, int) and 0 <= i < self.m for i in S):
+        if not all(type(i) is int and 0 <= i < self.m for i in S):
             raise InputError(f"feature subset {sorted(S)} not within 0..{self.m - 1}")
         return S
 
@@ -220,6 +245,8 @@ class TabularClassifier(_Frozen):
 class Leaf(_Frozen):
     __slots__ = _fields = ("class_value",)
 
+    # Leaf and Node keep their own constructors: loading and converting make
+    # one per graph node, and the shared one takes about twice as long.
     def __init__(self, class_value: int):
         _set(self, "class_value", class_value)
 
@@ -343,14 +370,6 @@ class _DecisionGraph(_Frozen):
     # would walk ``root`` once per root-to-leaf path.
     def _key(self):
         return self.space, self.nodes
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     # Name the node count, not ``root``: a by-value repr would spell out
     # every root-to-leaf path.
@@ -490,10 +509,8 @@ def find_counterexample(model: Classifier, S, v, target: int):
     prediction-sufficient). The traversal of the stored node list (a table's
     reduced diagram for a table) is deterministic and prefers values of v,
     so the returned point differs from v on as few features as possible.
+    S and v are not checked here: callers pass a checked subset and point.
     """
-    space = model.space
-    S = space.validate_subset(S)
-    v = space.validate_point(v)
     choice = _graph_counterexample(model.nodes, S, v, target)
     if choice is None:
         return None

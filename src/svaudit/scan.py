@@ -25,7 +25,7 @@ from typing import Optional
 
 from .errors import InputError
 from .explain import relevancy_report
-from .models import ExplanationProblem, FeatureSpace, _Frozen, _set
+from .models import ExplanationProblem, FeatureSpace, _Frozen
 from .rat import dec_str
 from .shapley import phi, shapley_values
 
@@ -49,26 +49,9 @@ class ScanRecord(_Frozen):
     __slots__ = _fields = ("index", "point", "predicted", "sv", "relevant", "issue",
                            "v_irrelevant_max", "v_relevant_min")
 
-    def __init__(self, index: int, point: tuple[int, ...], predicted: int,
-                 sv: tuple[Fraction, ...], relevant: frozenset[int], issue: bool,
-                 v_irrelevant_max: Optional[Fraction], v_relevant_min: Optional[Fraction]):
-        _set(self, "index", index)
-        _set(self, "point", point)
-        _set(self, "predicted", predicted)
-        _set(self, "sv", sv)
-        _set(self, "relevant", relevant)
-        _set(self, "issue", issue)
-        _set(self, "v_irrelevant_max", v_irrelevant_max)
-        _set(self, "v_relevant_min", v_relevant_min)
-
 
 class ScanSummary(_Frozen):
     __slots__ = _fields = ("total", "issues", "zero_sv_relevant")
-
-    def __init__(self, total: int, issues: int, zero_sv_relevant: int):
-        _set(self, "total", total)
-        _set(self, "issues", issues)
-        _set(self, "zero_sv_relevant", zero_sv_relevant)
 
     @property
     def fraction(self) -> float:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import InputError
-from .models import ExplanationProblem, _cube_size, _Frozen, _set, sum_kappa_over_cube
+from .models import ExplanationProblem, _cube_size, _Frozen, sum_kappa_over_cube
 from .rat import rat_json, rat_str
 
 
@@ -53,13 +53,6 @@ class SvReport(_Frozen):
     """Per-feature exact Shapley values plus the efficiency residual."""
 
     __slots__ = _fields = ("values", "phi_empty", "predicted", "residual")
-
-    def __init__(self, values: tuple[Fraction, ...], phi_empty: Fraction, predicted: int,
-                 residual: Fraction):
-        _set(self, "values", values)
-        _set(self, "phi_empty", phi_empty)
-        _set(self, "predicted", predicted)
-        _set(self, "residual", residual)
 
     def to_json_dict(self) -> dict:
         return {

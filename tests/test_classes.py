@@ -10,6 +10,7 @@ import pytest
 from oracle import random_dag, random_space
 from svaudit.adversarial import AdversarialSet, minimal_adversarial_sets
 from svaudit.dataset import Dataset
+from svaudit.errors import SvauditError
 from svaudit.explain import RelevancyReport, relevancy_report
 from svaudit.families import _FAMILIES, FamilySpec, _FamilyDef
 from svaudit.models import (
@@ -120,9 +121,16 @@ def test_positional_and_keyword_construction_agree_with_defaults():
     (lambda: FamilySpec("d", 0, (5, 2, 4, 9)), "needs alpha outside"),
     (lambda: FamilySpec("a", 3, (4, 0), psi=0), "psi"),
     (lambda: FamilySpec("z", 3, (4, 0)), "unknown family"),
+    # the shared constructor binds its arguments like a signature (TypeError)
+    (lambda: ScanSummary(3, 1), r"^ScanSummary\(\) is missing 'zero_sv_relevant'$"),
+    (lambda: ScanSummary(issues=1, zero_sv_relevant=0), "missing 'total'$"),
+    (lambda: ScanSummary(3, 1, 0, 4), "takes 3 arguments, 4 given"),
+    (lambda: ScanSummary(3, 1, 0, other=4), "unexpected argument 'other'"),
+    (lambda: ScanSummary(3, 1, total=0), "multiple values for 'total'"),
+    (lambda: _FamilyDef(2, (2, 2), (1, 1), None), "missing 'cell'$"),
 ])
 def test_construction_keeps_its_checks(make, message):
-    with pytest.raises(Exception, match=message):
+    with pytest.raises((SvauditError, TypeError), match=message):
         make()
 
 

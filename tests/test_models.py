@@ -53,12 +53,12 @@ def test_space_invariants():
     space = FeatureSpace((2, 3, 3))
     assert space.m == 3 and space.size == 18
     assert space.feature_names == ("x1", "x2", "x3")
-    with pytest.raises(InputError):
-        space.validate_point((1, 3, 0))
-    with pytest.raises(InputError):
-        space.validate_point((1, 0))
-    with pytest.raises(InputError):
-        space.validate_subset({0, 3})
+    for point in ((1, 3, 0), (1, 0), (True, False, 0)):
+        with pytest.raises(InputError):
+            space.validate_point(point)
+    for features in ({0, 3}, {True}, {2, False}):
+        with pytest.raises(InputError):
+            space.validate_subset(features)
 
 
 def test_mixed_radix_indexing():
