@@ -245,20 +245,11 @@ class TabularClassifier(_Frozen):
 class Leaf(_Frozen):
     __slots__ = _fields = ("class_value",)
 
-    # Leaf and Node keep their own constructors: loading and converting make
-    # one per graph node, and the shared one takes about twice as long.
-    def __init__(self, class_value: int):
-        _set(self, "class_value", class_value)
-
 
 class Node(_Frozen):
     """Tests one feature; each edge carries the set of values that follow it."""
 
     __slots__ = _fields = ("feature", "edges")
-
-    def __init__(self, feature: int, edges: tuple[tuple[frozenset[int], Union["Node", Leaf]], ...]):
-        _set(self, "feature", feature)
-        _set(self, "edges", edges)
 
     # Compare and hash by identity and name the edge count, not the children:
     # by-value methods would walk every path below a shared node.

@@ -77,16 +77,8 @@ def analyze_instance(problem: ExplanationProblem,
     v_i = max((abs(report.values[k]) for k in irrelevant), default=None)
     v_j = min((abs(report.values[k]) for k in relevant), default=None)
     issue = v_i is not None and v_j is not None and v_i > v_j
-    return ScanRecord(
-        index=problem.space.index(problem.point),
-        point=problem.point,
-        predicted=problem.predicted,
-        sv=report.values,
-        relevant=relevant,
-        issue=issue,
-        v_irrelevant_max=v_i,
-        v_relevant_min=v_j,
-    )
+    return ScanRecord(problem.space.index(problem.point), problem.point, problem.predicted,
+                      report.values, relevant, issue, v_i, v_j)
 
 
 class _Scanner:
