@@ -139,13 +139,15 @@ class FamilySpec(_Frozen):
     def __init__(self, family: str, alpha: int, sigmas: tuple[int, ...], psi: int = 1):
         _set(self, "family", str(family).lower())
         _set(self, "alpha", alpha)
-        _set(self, "sigmas", tuple(int(s) for s in sigmas))
+        _set(self, "sigmas", tuple(sigmas))
         _set(self, "psi", psi)
         fam = _family_def(self.family)
         if len(self.sigmas) != fam.arity:
             raise InputError(
                 f"family {self.family} takes {fam.arity} sigma parameters, got {len(self.sigmas)}")
-        if not isinstance(self.alpha, int) or not isinstance(self.psi, int):
+        # ``type(x) is int``, as in model files: ``bool`` is a subclass of
+        # ``int``, and a float sigma would otherwise be truncated
+        if any(type(x) is not int for x in (alpha, psi, *self.sigmas)):
             raise InputError("family parameters must be integers")
         if self.psi < 1:
             raise InputError("scale psi must be a positive integer")

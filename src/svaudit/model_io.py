@@ -117,20 +117,19 @@ def model_from_dict(doc) -> Classifier:
     kind = doc.get("type")
     space = _space_from_doc(doc)
     if kind == "table":
-        return _table_from_doc(doc, space)
-    if kind == "dt":
-        dt = DecisionTree(space, _graph_from_doc(doc, space))
-        _check_classes(doc, dt.class_values())
-        return dt
-    if kind == "omdd":
+        model = _table_from_doc(doc, space)
+    elif kind == "dt":
+        model = DecisionTree(space, _graph_from_doc(doc, space))
+    elif kind == "omdd":
         order = doc.get("order")
         if not isinstance(order, list) or not all(type(f) is int for f in order):
             raise InputError('omdd model needs an integer "order" list')
         root = _graph_from_doc(doc, space)
-        omdd = reduce_omdd(Omdd(space, tuple(f - 1 for f in order), root))
-        _check_classes(doc, omdd.class_values())
-        return omdd
-    raise InputError(f"unknown model type {kind!r}")
+        model = reduce_omdd(Omdd(space, tuple(f - 1 for f in order), root))
+    else:
+        raise InputError(f"unknown model type {kind!r}")
+    _check_classes(doc, model.class_values())
+    return model
 
 
 def _table_from_doc(doc, space) -> TabularClassifier:
@@ -151,9 +150,7 @@ def _table_from_doc(doc, space) -> TabularClassifier:
         missing = values.index(None)
         raise InputError(
             f"table is incomplete: no row for point {space.point_at(missing)}")
-    table = TabularClassifier(space, tuple(values))
-    _check_classes(doc, table.class_values())
-    return table
+    return TabularClassifier(space, tuple(values))
 
 
 def _graph_from_doc(doc, space):

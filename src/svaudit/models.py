@@ -266,9 +266,9 @@ class _DecisionGraph(_Frozen):
     Construction checks every node once and stores ``nodes``, the distinct
     nodes children first (the root last): ``(feature, ((values, child
     position), ...))`` for an internal node, ``(None, class_value)`` for a
-    leaf. Every per-node pass (cube sums, counterexamples, Shapley,
-    serialization) reads that list, so a node shared by several paths is
-    visited once.
+    leaf. Point lookups and every per-node pass (cube sums, counterexamples,
+    Shapley, serialization) read that list, so a node shared by several
+    paths is visited once. No query walks ``root``.
     """
 
     __slots__ = ("nodes", "classes")
@@ -313,6 +313,8 @@ class _DecisionGraph(_Frozen):
                 mask = 0
                 edges = []
                 for values, child in node.edges:
+                    if type(values) is not frozenset:
+                        raise InputError(f"edge label {values!r} is not a frozenset")
                     if not values:
                         raise InputError("empty edge label")
                     if not values <= domains[f]:
@@ -345,11 +347,12 @@ class _DecisionGraph(_Frozen):
 
     def lookup(self, point) -> int:
         """Class of a point already known to lie in the space (unchecked)."""
-        node = self.root
-        while isinstance(node, Node):
-            x = point[node.feature]
-            node = next(child for values, child in node.edges if x in values)
-        return node.class_value
+        nodes = self.nodes
+        f, edges = nodes[-1]
+        while f is not None:
+            x = point[f]
+            f, edges = nodes[next(c for values, c in edges if x in values)]
+        return edges
 
     def class_values(self) -> frozenset[int]:
         return self.classes
@@ -357,15 +360,15 @@ class _DecisionGraph(_Frozen):
     def nonterminal_count(self) -> int:
         return sum(1 for f, _ in self.nodes if f is not None)
 
-    # Compare and hash the stored node list, not ``root``: by-value methods
-    # would walk ``root`` once per root-to-leaf path.
+    # Compare, hash and name the stored node list in place of ``root``, the
+    # last field: by-value methods would walk ``root`` once per root-to-leaf
+    # path, and a by-value repr would spell every path out.
     def _key(self):
-        return self.space, self.nodes
+        return self._values()[:-1] + (self.nodes,)
 
-    # Name the node count, not ``root``: a by-value repr would spell out
-    # every root-to-leaf path.
     def __repr__(self):
-        return f"{type(self).__name__}(space={self.space!r}, nodes={len(self.nodes)})"
+        fields = "".join(f"{name}={getattr(self, name)!r}, " for name in self._fields[:-1])
+        return f"{type(self).__name__}({fields}nodes={len(self.nodes)})"
 
 
 class DecisionTree(_DecisionGraph):
@@ -376,9 +379,8 @@ class DecisionTree(_DecisionGraph):
 
     __slots__ = _fields = ("space", "root")
 
-    def __init__(self, space: FeatureSpace, root: Union[Node, Leaf]):
-        _set(self, "space", space)
-        _set(self, "root", root)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self._index()
 
     # each representation holds its own evaluate, so it can be wrapped alone
@@ -397,25 +399,22 @@ class Omdd(_DecisionGraph):
 
     __slots__ = _fields = ("space", "order", "root")
 
-    def __init__(self, space: FeatureSpace, order: tuple[int, ...], root: Union[Node, Leaf]):
-        order = tuple(order)
-        _set(self, "space", space)
-        _set(self, "order", order)
-        _set(self, "root", root)
-        if sorted(order) != list(range(space.m)):
-            raise InputError(f"order {order} is not a permutation of the features")
-        rank = [0] * space.m
-        for k, f in enumerate(order):
-            rank[f] = k
-        self._index(rank)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        _set(self, "order", tuple(self.order))
+        self._index(_rank(self.order, self.space.m))
 
     evaluate = _DecisionGraph.evaluate
 
-    def _key(self):
-        return self.space, self.order, self.nodes
 
-    def __repr__(self):
-        return f"Omdd(space={self.space!r}, order={self.order}, nodes={len(self.nodes)})"
+def _rank(order, m) -> list[int]:
+    """Position of each feature in ``order``, a permutation of the m features."""
+    if sorted(order) != list(range(m)):
+        raise InputError(f"order {order} is not a permutation of the features")
+    rank = [0] * m
+    for k, f in enumerate(order):
+        rank[f] = k
+    return rank
 
 
 Classifier = Union[TabularClassifier, DecisionTree, Omdd]
@@ -497,9 +496,13 @@ def find_counterexample(model: Classifier, S, v, target: int):
     """First point agreeing with v on S whose class differs from target.
 
     Returns None when every such point maps to target (i.e. S is
-    prediction-sufficient). The traversal of the stored node list (a table's
-    reduced diagram for a table) is deterministic and prefers values of v,
-    so the returned point differs from v on as few features as possible.
+    prediction-sufficient). The search walks the stored node list (a
+    table's reduced diagram for a table) depth first from the root. At each
+    node it tries the edges in stored order, skipping an edge that leaves
+    v on a feature of S, and sets the feature to v's value if the edge holds
+    it, else to the edge's smallest value. It returns the first such point
+    in that edge order, which need not be the one closest to v: it may
+    change more features than another point that also changes the class.
     S and v are not checked here: callers pass a checked subset and point.
     """
     choice = _graph_counterexample(model.nodes, S, v, target)
@@ -567,9 +570,7 @@ def _reducer(order, sizes):
     that may start earlier in ``order`` than f. ``build(root)`` makes the
     ``Leaf`` and ``Node`` objects once, for the ids ``root`` reaches, each
     node's edges grouped by child in order of first value."""
-    rank = [0] * len(order)
-    for k, f in enumerate(order):
-        rank[f] = k
+    rank = _rank(order, len(sizes))
     unique = {}
     rows = []  # id -> its key
     tops = []  # id -> order position of the feature it tests; len(order) for a leaf
@@ -649,8 +650,6 @@ def to_omdd(model: Classifier, order=None) -> Omdd:
     """
     space = model.space
     order = tuple(order) if order is not None else tuple(range(space.m))
-    if sorted(order) != list(range(space.m)):
-        raise InputError(f"order {order} is not a permutation of the features")
     if not isinstance(model, TabularClassifier):
         return Omdd(space, order, _fold(model.nodes, order, space.domain_sizes))
     leaf, node, _, build = _reducer(order, space.domain_sizes)
@@ -691,12 +690,9 @@ def _fold(nodes, order, sizes):
 
 def reduce_omdd(omdd: Omdd) -> Omdd:
     """Canonical reduced form: the diagram itself when it is reduced, else
-    ``_fold`` under its own order, where every child starts later than its
+    its fold under its own order, where every child starts later than its
     parent, so no node is split."""
-    if is_reduced(omdd):
-        return omdd
-    root = _fold(omdd.nodes, omdd.order, omdd.space.domain_sizes)
-    return Omdd(omdd.space, omdd.order, root)
+    return omdd if is_reduced(omdd) else to_omdd(omdd, omdd.order)
 
 
 def is_reduced(omdd: Omdd) -> bool:

@@ -11,17 +11,18 @@ must hold with residual exactly 0 and is carried in every report.
 Two engines compute the same rationals:
 
 * the default polynomial engine (``backend="auto"``) never walks the 2^m
-  coalitions. With ``D = prod d_j``, every ``D * phi(S)`` is an integer, and
-  it builds, per feature i, the size-graded sums
-  ``Q_i[k] = sum_{|S|=k, i not in S} D * (phi(S | {i}) - phi(S))``.
-  One bottom-up and one top-down pass of integer polynomials, each packed
-  into one integer, run over the stored node list: a tree's or a diagram's
-  own, or a table's reduced OMDD (built once, on first use). That is O(|G|)
-  big-integer operations on numbers of (m+1) B bits for |G| distinct
-  nodes, not O(|G| m^2) list steps, where 2^(B-1) > cmax D^2 9^m, cmax the
-  largest |class|, bounds every coefficient. The pass needs no variable
-  order, only that every path is read-once.
-  ``Sv(i) = sum_k k!(m-1-k)! Q_i[k] / (m! D)``.
+  coalitions. With ``D = prod d_j``, every ``D * phi(S)`` is an integer.
+  Sv(i) is the integral over [0, 1] of a polynomial ``sum_j c_j w^j / D``
+  in w, the chance that each other feature is left free rather than fixed
+  to the instance (Owen, 1972), so ``Sv(i) = sum_j c_j / ((j+1) D)``. One
+  bottom-up and one top-down pass of integer polynomials, each packed into
+  one integer, run over the stored node list: a tree's or a diagram's own,
+  or a table's reduced OMDD (built once, on first use). The integer
+  coefficients c_j are read back as digits. That is O(|G|) big-integer
+  operations on numbers of (m+1) B bits for |G| distinct nodes, not
+  O(|G| m^2) list steps, where 2^(B-1) > cmax D^2 9^m, cmax the largest
+  |class|, bounds every coefficient. The pass needs no variable order, only
+  that every path is read-once.
 * the reference coalition loop (``backend="enumerate"`` or ``"paths"``)
   evaluates phi on all 2^m coalitions with that cube-sum backend.
 """
@@ -29,7 +30,7 @@ Two engines compute the same rationals:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial, lcm
 
 from .errors import InputError
 from .models import ExplanationProblem, _cube_size, _Frozen, sum_kappa_over_cube
@@ -84,8 +85,7 @@ def shapley_values(problem: ExplanationProblem, backend: str = "auto",
         raise InputError(f"unknown backend {backend!r}")
 
     if backend == "auto":
-        values = _values_from_grades(_graph_grades(problem.model, problem.point),
-                                     problem.space.size)
+        values = _graph_grades(problem.model, problem.point)
         if phi_empty is None:
             phi_empty = phi(problem, frozenset())
     else:
@@ -115,24 +115,19 @@ def _coalition_loop(problem: ExplanationProblem, backend: str):
     return tuple(values), phis[0]
 
 
-def _values_from_grades(grades, space_size: int) -> tuple[Fraction, ...]:
-    """Sv(i) = sum_k k!(m-1-k)! Q_i[k] / (m! D), one Fraction per feature."""
-    m = len(grades)
-    weight = [factorial(k) * factorial(m - 1 - k) for k in range(m)]
-    den = factorial(m) * space_size
-    return tuple(Fraction(sum(w * q for w, q in zip(weight, qi)), den) for qi in grades)
+def _graph_grades(model, v) -> tuple[Fraction, ...]:
+    """Sv of every feature from Bottom(u) (weighted class sum below u),
+    Top(u) (weight of the paths reaching u) and the gain of fixing u's
+    feature to v.
 
-
-def _graph_grades(model, v) -> list[list[int]]:
-    """Q_i from Bottom(u) (weighted class sum below u), Top(u) (weight of the
-    paths reaching u) and the gain of fixing u's feature to v.
-
-    Polynomials are in w = 1/(1+z), z marking "in S". Dividing by
-    d_j (1+z) for every feature j, a path's features each contribute
+    Polynomials are in w, the chance that a feature is left free (it is in
+    S with chance 1 - w). A path's features each contribute
     (b + (a-b) w) / d_f on the edge that tests them, with a = |E| and
     b = d_f [v_f in E], and features it does not test contribute 1. Top and
-    Bottom are scaled by D = prod d_j, so they stay integer polynomials, and
-    Q_i(z) = (1+z)^(m-1) sum_{u tests i} Top(u) Gain(u) / D.
+    Bottom are scaled by D = prod d_j, so they stay integer polynomials.
+    P_i(w) = sum_{u tests i} Top(u) Gain(u) / D = sum_j c_j w^j is D times
+    the expected gain of fixing i, and Sv(i) is its integral over [0, 1]
+    divided by D (Owen, 1972): sum_j c_j / ((j+1) D).
 
     Each polynomial is held as one integer, its value at w = W = 2^B
     (Kronecker substitution), so every step is one big-integer operation and
@@ -186,20 +181,20 @@ def _graph_grades(model, v) -> list[list[int]]:
                 b = d if x in E else 0
                 top[child] += t * (b + ((len(E) - b) << B))
 
-    # sum_j c_j w^j (1+z)^(m-1) = sum_j c_j (1+z)^(m-1-j). The division by D
-    # is exact: a path's term of Top(u) Gain(u) is D^2 over the product of
-    # the d_f of the distinct features it tests.
+    # The division by D is exact: a path's term of Top(u) Gain(u) is D^2
+    # over the product of the d_f of the distinct features it tests. With
+    # L = lcm(1..m), sum_j c_j / (j+1) = sum_j c_j (L / (j+1)) / L.
     half = 1 << (B - 1)
+    L = lcm(*range(1, m + 1))
+    weights = [L // (j + 1) for j in range(m)]
     out = []
     for g in grades:
-        q = [0] * m
-        for j in range(m):
+        total = 0
+        for weight in weights:
             g, c = divmod(g + half, 2 * half)
-            c = (c - half) // D
-            for s in range(m - j):
-                q[s] += c * comb(m - 1 - j, s)
-        out.append(q)
-    return out
+            total += (c - half) // D * weight
+        out.append(Fraction(total, L * D))
+    return tuple(out)
 
 
 def validate_efficiency(problem: ExplanationProblem, report: SvReport) -> Fraction:

@@ -121,6 +121,14 @@ def test_positional_and_keyword_construction_agree_with_defaults():
     (lambda: FamilySpec("d", 0, (5, 2, 4, 9)), "needs alpha outside"),
     (lambda: FamilySpec("a", 3, (4, 0), psi=0), "psi"),
     (lambda: FamilySpec("z", 3, (4, 0)), "unknown family"),
+    # integers only, as in model files: no booleans, no truncated floats
+    (lambda: FamilySpec("a", True, (4, 0)), "must be integers"),
+    (lambda: FamilySpec("a", 3, (4, 0), psi=True), "must be integers"),
+    (lambda: FamilySpec("a", 3, (4.7, 0)), "must be integers"),
+    (lambda: FamilySpec("a", 3, (4, False)), "must be integers"),
+    # edge labels are frozensets: a list does not compare, a set does not hash
+    (lambda: DecisionTree(SPACE, Node(0, (([0], Leaf(0)), ([1], Leaf(1))))), "not a frozenset"),
+    (lambda: Omdd(SPACE, (0, 1), Node(0, (({0}, Leaf(0)), ({1}, Leaf(1))))), "not a frozenset"),
     # the shared constructor binds its arguments like a signature (TypeError)
     (lambda: ScanSummary(3, 1), r"^ScanSummary\(\) is missing 'zero_sv_relevant'$"),
     (lambda: ScanSummary(issues=1, zero_sv_relevant=0), "missing 'total'$"),

@@ -17,6 +17,7 @@ from oracle import (
     random_table,
     uneven_partition,
 )
+from svaudit.adversarial import adversarial_report
 from svaudit.errors import CapacityError, InputError
 from svaudit.model_io import load_model, model_from_dict, model_to_dict, model_to_json, save_model
 from svaudit.models import (
@@ -133,6 +134,13 @@ def test_classes_must_be_integers():
     # integer types other than int are taken as their int value
     table = TabularClassifier(space, (False, True, 1, 0))
     assert table.values == (0, 1, 1, 0) and all(type(c) is int for c in table.values)
+    # a graph's point lookups read its checked node list, not its leaves
+    low = Node(1, ((frozenset({0}), Leaf(0)), (frozenset({1}), Leaf(2))))
+    tree = DecisionTree(space, Node(0, ((frozenset({0}), Leaf(True)), (frozenset({1}), low))))
+    for model in (tree, Omdd(space, (0, 1), tree.root)):
+        assert type(model.evaluate((0, 0))) is int and model.evaluate((0, 0)) == 1
+        report = json.dumps(adversarial_report(ExplanationProblem.of(model, (1, 1))))
+        assert '"witness": [0, 1], "class": 1}' in report and "true" not in report
 
 
 def test_dt_structural_validation():
