@@ -13,7 +13,8 @@ Layout (integers only, bit-exact):
 * dt body -- ``"nodes": [...]`` where internal nodes look like
   ``{"id": 0, "feature": 1, "edges": [{"values": [0, 1], "to": 3}]}`` and
   leaves like ``{"id": 3, "class": 2}``; the first listed node is the root,
-  and edges may share a target as long as every path stays read-once;
+  and edges may share a target as long as every path stays read-once.
+  Node ids are integers or strings: a float or boolean id is rejected;
 * omdd body -- dt body plus ``"order": [1, 2, 3]``.
 
 Integers are checked with ``type(x) is int``: JSON ``true``/``false`` load as
@@ -161,8 +162,8 @@ def _graph_from_doc(doc, space):
     for k, e in enumerate(entries):
         if not isinstance(e, dict) or "id" not in e:
             raise InputError(f"malformed node entry {e!r}")
-        if isinstance(e["id"], (list, dict)):
-            raise InputError(f"node entry {k} has id {e['id']!r}; ids must be numbers or strings")
+        if type(e["id"]) not in (int, str):
+            raise InputError(f"node entry {k} has id {e['id']!r}; ids must be integers or strings")
         if e["id"] in by_id:
             raise InputError(f"duplicate node id {e['id']}")
         by_id[e["id"]] = e
@@ -209,9 +210,9 @@ def _edges_of_entry(e, nid, space) -> list:
         values = edge.get("values")
         if not isinstance(values, list) or not all(type(x) is int for x in values):
             raise InputError(f"malformed edge on node {nid}")
-        if isinstance(edge["to"], (list, dict)):
+        if type(edge["to"]) not in (int, str):
             raise InputError(
-                f"edge on node {nid} points to {edge['to']!r}; ids must be numbers or strings")
+                f"edge on node {nid} points to {edge['to']!r}; ids must be integers or strings")
         edges.append((frozenset(values), edge["to"]))
     return edges
 

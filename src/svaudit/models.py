@@ -10,8 +10,9 @@ Three total-function representations over a common discrete feature space:
 
 Trees and diagrams share one read-once graph core: one ``Node`` and one
 ``Leaf`` type, one construction walk that stores the distinct nodes children
-first, and one pass per computation over that list. A tree may share
-subtrees, so every cost is polynomial in the node count, not the path count.
+first, and one pass per computation over that list (the counterexample
+search visits each node at most once). A tree may share subtrees, so every
+cost is polynomial in the node count, not the path count.
 
 One reducer builds every OMDD: a unique table over integer ids (Bryant,
 1986), where a node is keyed by its feature and its child's id for each
@@ -503,49 +504,34 @@ def find_counterexample(model: Classifier, S, v, target: int):
     it, else to the edge's smallest value. It returns the first such point
     in that edge order, which need not be the one closest to v: it may
     change more features than another point that also changes the class.
+    The search stops at its first point, so it reaches a node again only
+    after the node failed; it remembers the nodes whose cube holds no
+    counterexample, so it searches each node at most once.
     S and v are not checked here: callers pass a checked subset and point.
     """
-    choice = _graph_counterexample(model.nodes, S, v, target)
-    if choice is None:
-        return None
+    nodes = model.nodes
+    failed = set()
     point = list(v)
-    while choice:
-        f, x, choice = choice
-        point[f] = x
-    return tuple(point)
 
-
-def _graph_counterexample(nodes, S, v, target):
-    """Chain ``(feature, value, rest)`` of edge choices reaching a leaf whose
-    class differs from target (``()`` at the leaf), or None. Each node's
-    answer depends on the node alone, so it is computed once."""
-    memo = {}
-
-    def rec(k):
-        if k in memo:
-            return memo[k]
+    def search(k):
         f, edges = nodes[k]
-        found = None
         if f is None:
-            if edges != target:
-                found = ()
-        else:
-            x = v[f]
-            for values, child in edges:
-                if x in values:
-                    pick = x
-                elif f in S:
-                    continue
-                else:
-                    pick = min(values)
-                sub = rec(child)
-                if sub is not None:
-                    found = (f, pick, sub)
-                    break
-        memo[k] = found
-        return found
+            return edges != target
+        x = v[f]
+        for values, child in edges:
+            if x in values:
+                pick = x
+            elif f in S:
+                continue
+            else:
+                pick = min(values)
+            if child not in failed and search(child):
+                point[f] = pick
+                return True
+        failed.add(k)
+        return False
 
-    return rec(len(nodes) - 1)
+    return tuple(point) if search(len(nodes) - 1) else None
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,10 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InputError
+from .errors import InputError, SvauditError
 from .explain import relevancy_report
 from .models import ExplanationProblem, FeatureSpace, _Frozen
-from .rat import dec_str
+from .rat import dec_str, rat_str
 from .shapley import phi, shapley_values
 
 
@@ -69,8 +69,13 @@ class ScanSummary(_Frozen):
 def analyze_instance(problem: ExplanationProblem,
                      phi_empty: Optional[Fraction] = None) -> ScanRecord:
     """Shapley values, relevancy partition and the issue verdict for one
-    instance; ``phi_empty`` is passed on to ``shapley_values``."""
+    instance; ``phi_empty`` is passed on to ``shapley_values``. Raises
+    ``SvauditError`` when the efficiency residual is not exactly 0."""
     report = shapley_values(problem, phi_empty=phi_empty)
+    if report.residual != 0:
+        raise SvauditError(
+            f"efficiency residual {rat_str(report.residual)} at instance "
+            f"{','.join(map(str, problem.point))}; it must be 0")
     relevancy = relevancy_report(problem)
     relevant = relevancy.relevant
     irrelevant = relevancy.irrelevant

@@ -13,7 +13,7 @@ from math import factorial
 
 from svaudit.dataset import Dataset
 from svaudit.errors import InputError
-from svaudit.models import DecisionTree, FeatureSpace, Leaf, Node, Omdd, TabularClassifier
+from svaudit.models import DecisionTree, FeatureSpace, Leaf, Node, Omdd, TabularClassifier, to_omdd
 
 
 def all_points(domains):
@@ -147,6 +147,35 @@ def o_minimal_hitting_sets(family):
             if hits(h) and not any(hits(h - {e}) for e in h):
                 out.append(h)
     return sorted(out, key=lambda h: tuple(sorted(h)))
+
+
+def o_counterexample(model, S, v, target):
+    """The point ``find_counterexample`` must return, by a depth-first walk
+    of the ``Node``/``Leaf`` objects from the root (a table's reduced
+    diagram for a table) with no memo: edges in stored order, an edge that
+    leaves v on a feature of S skipped, the feature set to v's value if the
+    edge holds it, else to the edge's smallest value. None when every leaf
+    reached holds target."""
+    root = to_omdd(model).root if isinstance(model, TabularClassifier) else model.root
+
+    def walk(node, chosen):
+        if isinstance(node, Leaf):
+            return chosen if node.class_value != target else None
+        f = node.feature
+        for values, child in node.edges:
+            if v[f] in values:
+                x = v[f]
+            elif f in S:
+                continue
+            else:
+                x = min(values)
+            found = walk(child, {**chosen, f: x})
+            if found is not None:
+                return found
+        return None
+
+    chosen = walk(root, {})
+    return None if chosen is None else tuple(chosen.get(i, x) for i, x in enumerate(v))
 
 
 def o_is_reduced(omdd):

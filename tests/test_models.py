@@ -9,6 +9,7 @@ import pytest
 from oracle import (
     all_points,
     k_of_n_tree,
+    o_counterexample,
     o_is_reduced,
     random_dag,
     random_dt,
@@ -248,6 +249,33 @@ def test_table_counterexamples_come_from_its_cached_diagram():
                 assert all(cex[i] == v[i] for i in S) and table.evaluate(cex) != target
         assert table.nodes == to_omdd(table).nodes
     assert outcomes[True] > 300 and outcomes[False] > 30
+
+
+def test_counterexample_is_the_first_point_in_stored_edge_order():
+    # the memo over failed nodes changes no visit: the point equals a walk
+    # of every path, on shared subtrees, unreduced diagrams and tables
+    rng = random.Random(31)
+    outcomes = Counter()
+    for k in range(120):
+        if k % 4 == 0:
+            model = random_dag(rng, random_space(rng, domain_pool=(2, 3, 4)))
+        elif k % 4 == 1:
+            model = random_dag(rng, random_space(rng, domain_pool=(2, 3, 4)),
+                               partition=uneven_partition)
+        elif k % 4 == 2:
+            model = random_raw_omdd(rng)
+        else:
+            model = random_table(rng, domain_pool=(2, 3, 4))
+        space = model.space
+        assert space.m <= 6
+        v = tuple(rng.randrange(d) for d in space.domain_sizes)
+        for _ in range(6):
+            S = frozenset(i for i in range(space.m) if rng.random() < 0.5)
+            target = rng.choice(sorted(model.class_values()))
+            cex = find_counterexample(model, S, v, target)
+            assert cex == o_counterexample(model, S, v, target)
+            outcomes[cex is None] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 300
 
 
 def test_tabular_to_omdd_k1(k1_table):
@@ -683,6 +711,26 @@ def test_model_io_rejects_unhashable_node_ids():
         doc["nodes"][0]["edges"][0]["to"] = bad
         with pytest.raises(InputError, match="node 0"):
             model_from_dict(doc)
+
+
+def test_model_io_takes_only_integer_or_string_node_ids():
+    # under Python equality 1, 1.0 and True are one id; in a file they are three
+    _, dt, _ = _one_feature_docs()
+    leaves = [{"id": 1, "class": 0}, {"id": 2, "class": 1}]
+    docs = [
+        dict(dt, nodes=[{"id": 0, "feature": 1, "edges": [{"values": [0], "to": 1.0},
+                                                          {"values": [1], "to": True}]},
+                        *leaves]),
+        dict(dt, nodes=[{"id": 0, "feature": 1, "edges": [{"values": [0], "to": 1},
+                                                          {"values": [1], "to": 2}]},
+                        *leaves, {"id": True, "class": 1}]),
+        dict(dt, nodes=[{"id": 0, "feature": 1, "edges": [{"values": [0], "to": 1},
+                                                          {"values": [1], "to": 2}]},
+                        leaves[0], {"id": 1.5, "class": 1}]),
+    ]
+    for doc in docs:
+        with pytest.raises(InputError, match="ids must be integers or strings"):
+            model_from_dict(json.loads(json.dumps(doc)))
 
 
 def test_model_io_resolves_long_chains_without_recursion():

@@ -132,6 +132,23 @@ def test_scan_computes_phi_empty_once(monkeypatch, kind):
                             for p in model.space.points())
 
 
+def test_nonzero_residual_ends_the_scan(monkeypatch, tmp_path, capsys):
+    # a wrong phi(empty) of 99 leaves the residual 7/8 + 7/8 + 99 - 3 = 391/4
+    import svaudit.scan as scan
+    from svaudit.errors import SvauditError
+    from svaudit.model_io import save_model
+    table = TabularClassifier(FeatureSpace((2, 2)), (0, 1, 1, 3))
+    problem = ExplanationProblem.of(table, (1, 1))
+    assert analyze_instance(problem).sv == (F(7, 8), F(7, 8))
+    with pytest.raises(SvauditError, match="residual 391/4 at instance 1,1"):
+        analyze_instance(problem, phi_empty=F(99))
+    path = tmp_path / "model.json"
+    save_model(table, path)
+    monkeypatch.setattr(scan, "phi", lambda *a, **k: F(99))
+    assert main(["scan", "--model", str(path), "--all"]) == 1
+    assert "residual" in capsys.readouterr().err
+
+
 def test_scan_with_worker_pool(k1_table):
     serial = scan_model(k1_table)
     parallel = scan_model(k1_table, jobs=2)
