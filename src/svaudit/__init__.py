@@ -3,7 +3,7 @@
 The package computes, with arbitrary-precision rational arithmetic:
 
 * exact Shapley values for feature attribution under the uniform input
-  distribution, with the efficiency-identity validator;
+  distribution, each report carrying its efficiency residual;
 * abductive and contrastive explanations, their complete enumeration via
   minimal-hitting-set duality, and feature relevancy/necessity;
 * subset-minimal l0 adversarial change-sets and their equivalence with
@@ -21,8 +21,7 @@ from importlib import import_module as _import_module
 # importing the package, or one of its submodules, loads no engine it does
 # not use: a CLI call imports only what its command runs.
 _EXPORTS = {
-    "adversarial": ("AdversarialSet", "ae_feature_set", "find_witness", "min_l0_distance",
-                    "minimal_adversarial_sets"),
+    "adversarial": ("AdversarialSet", "find_witness", "min_l0_distance", "minimal_adversarial_sets"),
     "errors": ("CapacityError", "InputError", "NoSolutionError", "SvauditError"),
     "explain": ("RelevancyReport", "axp_rule", "enumerate_explanations", "is_counterfactual",
                 "is_sufficient", "minimal_hitting_sets", "one_axp", "one_cxp",
@@ -35,7 +34,7 @@ _EXPORTS = {
     "rat": (),
     "scan": ("Dataset", "ScanRecord", "ScanSummary", "analyze_instance",
              "build_omdd_from_dataset", "load_consistent_dataset", "scan_model"),
-    "shapley": ("SvReport", "phi", "shapley_values", "validate_efficiency", "varsigma"),
+    "shapley": ("SvReport", "phi", "shapley_values", "varsigma"),
 }
 _SUBMODULE_OF = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}
 

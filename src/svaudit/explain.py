@@ -19,7 +19,7 @@ import itertools
 from .errors import CapacityError, InputError
 from .models import ExplanationProblem, _Frozen, find_counterexample
 
-# Refuse to enumerate explanation families above this many features.
+# The brute engine refuses to enumerate the subsets of more features than this.
 EXPLAIN_CAP = 20
 
 
@@ -106,17 +106,17 @@ def _set_key(s):
     return tuple(sorted(s))
 
 
-def enumerate_explanations(problem: ExplanationProblem, engine: str = "duality",
-                           cap: int = EXPLAIN_CAP):
+def enumerate_explanations(problem: ExplanationProblem, engine: str = "duality"):
     """Complete AXp and CXp families, both sorted lexicographically.
 
     ``brute`` filters all 2^m subsets through the sufficiency predicates and
-    serves as the oracle; ``duality`` runs the hitting-set loop. The two
-    engines return identical families.
+    serves as the oracle, so it refuses more than ``EXPLAIN_CAP`` features;
+    ``duality`` runs the hitting-set loop, whose cost follows the family
+    sizes, with no cap of its own. The two engines return identical families.
     """
-    if problem.m > cap:
-        raise CapacityError(f"{problem.m} features exceed the enumeration cap {cap}")
     if engine == "brute":
+        if problem.m > EXPLAIN_CAP:
+            raise CapacityError(f"{problem.m} features exceed the enumeration cap {EXPLAIN_CAP}")
         axps, cxps = _enumerate_brute(problem)
     elif engine == "duality":
         axps, cxps = _enumerate_duality(problem)

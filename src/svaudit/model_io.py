@@ -20,8 +20,9 @@ Layout (integers only, bit-exact):
 Integers are checked with ``type(x) is int``: JSON ``true``/``false`` load as
 ``bool``, a subclass of ``int``, and are rejected. Feature indices in files
 are 1-based. The loader checks what only the document shows (entry shapes,
-integer types, node ids); the model's construction checks the graph once,
-cycles included. Loaded OMDDs go through ``reduce_omdd``, which keeps a
+integer types, node ids) on every entry and links every entry's edges, not
+only those the root reaches; the model's construction checks the graph
+once, cycles included. Loaded OMDDs go through ``reduce_omdd``, which keeps a
 reduced diagram as it is, so the in-memory diagram is always reduced.
 """
 
@@ -155,43 +156,36 @@ def _table_from_doc(doc, space) -> TabularClassifier:
 
 
 def _graph_from_doc(doc, space):
+    """The root of the graph, after one object per entry is made in list
+    order and then the edges of every entry are linked. An entry the root
+    does not reach is checked like any other, then ignored. A cycle is left
+    to the model's construction walk, which rejects it within m levels: it
+    tests a feature twice on one path, or does not advance in the order."""
     entries = doc.get("nodes")
     if not isinstance(entries, list) or not entries:
         raise InputError('model needs a nonempty "nodes" list')
-    by_id = {}
+    built = {}
+    unlinked = []  # (node, its checked (values, target id) pairs)
     for k, e in enumerate(entries):
         if not isinstance(e, dict) or "id" not in e:
             raise InputError(f"malformed node entry {e!r}")
-        if type(e["id"]) not in (int, str):
-            raise InputError(f"node entry {k} has id {e['id']!r}; ids must be integers or strings")
-        if e["id"] in by_id:
-            raise InputError(f"duplicate node id {e['id']}")
-        by_id[e["id"]] = e
-
-    # One object per entry reachable from the root, in any order; a node's
-    # edges are linked once every target exists. A cycle is left to the
-    # model's construction walk, which rejects it within m levels: it tests
-    # a feature twice on one path, or does not advance in the order.
-    built = {}
-    unlinked = []  # (node, its checked (values, target id) pairs)
-    stack = [entries[0]["id"]]
-    while stack:
-        nid = stack.pop()
+        nid = e["id"]
+        if type(nid) not in (int, str):
+            raise InputError(f"node entry {k} has id {nid!r}; ids must be integers or strings")
         if nid in built:
-            continue
-        if nid not in by_id:
-            raise InputError(f"edge points to unknown node {nid}")
-        e = by_id[nid]
+            raise InputError(f"duplicate node id {nid}")
         if "class" in e:
             if type(e["class"]) is not int:
                 raise InputError("leaf classes must be integers")
             built[nid] = Leaf(e["class"])
-            continue
-        edges = _edges_of_entry(e, nid, space)
-        built[nid] = node = Node(e["feature"] - 1, ())
-        unlinked.append((node, edges))
-        stack += [to for _, to in edges]
+        else:
+            edges = _edges_of_entry(e, nid, space)
+            built[nid] = node = Node(e["feature"] - 1, ())
+            unlinked.append((node, edges))
     for node, edges in unlinked:
+        for _, to in edges:
+            if to not in built:
+                raise InputError(f"edge points to unknown node {to}")
         object.__setattr__(node, "edges", tuple([(values, built[to]) for values, to in edges]))
     return built[entries[0]["id"]]
 

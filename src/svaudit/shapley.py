@@ -196,8 +196,3 @@ def _graph_grades(model, v) -> tuple[Fraction, ...]:
         out.append(Fraction(total, L * D))
     return tuple(out)
 
-
-def validate_efficiency(problem: ExplanationProblem, report: SvReport) -> Fraction:
-    """Residual of the efficiency identity for a report; the contract is 0."""
-    total = sum(report.values, Fraction(0)) + report.phi_empty
-    return total - problem.model.evaluate(problem.point)

@@ -21,9 +21,7 @@ from oracle import (
 from svaudit import adversarial
 from svaudit.adversarial import (
     adversarial_report,
-    ae_feature_set,
     find_witness,
-    hamming,
     min_l0_distance,
     minimal_adversarial_sets,
 )
@@ -50,7 +48,7 @@ def test_witness_changes_exactly_the_set():
             A = frozenset(i for i in range(problem.m) if rng.random() < 0.5)
             hit = find_witness(problem, A)
             if hit is not None:
-                assert hamming(hit.witness, problem.point) == len(A)
+                assert sum(a != b for a, b in zip(hit.witness, problem.point)) == len(A)
                 assert hit.changed == A
                 assert hit.class_value != problem.predicted
                 diff = {i for i in range(problem.m)
@@ -89,11 +87,16 @@ def test_min_l0_bounded_by_m():
         assert k == min(len(Y) for Y in cxps)
 
 
-def test_ae_feature_set_goldens(k1_problem):
-    assert ae_feature_set(k1_problem) == frozenset({0})
+def _changed_union(problem):
+    """The features some subset-minimal adversarial set changes."""
+    return frozenset().union(*(a.changed for a in minimal_adversarial_sets(problem)))
+
+
+def test_adversarial_union_goldens(k1_problem):
+    assert _changed_union(k1_problem) == frozenset({0})
     from svaudit.families import FamilySpec, instantiate
     kb = instantiate(FamilySpec("b", 1, (0, 3, 3, 0)))
-    assert ae_feature_set(kb) == frozenset({0})
+    assert _changed_union(kb) == frozenset({0})
 
 
 def test_change_set_family_equals_cxps():
@@ -137,11 +140,13 @@ def test_adversarial_set_with_irrelevant_feature_has_clean_subset():
     assert checked > 10
 
 
-def test_ae_feature_set_equals_relevant():
+def test_adversarial_union_equals_relevant():
+    # the paper's third claim: a minimal l0 adversarial example changes no
+    # irrelevant feature, and every relevant feature is changed by one
     rng = random.Random(109)
     for _ in range(25):
         problem = random_problem(rng, max_features=5)
-        assert ae_feature_set(problem) == relevancy_report(problem).relevant
+        assert _changed_union(problem) == relevancy_report(problem).relevant
 
 
 def test_report_json(k1_problem):
@@ -248,7 +253,8 @@ def test_cxp_without_a_witness_is_a_domain_error(monkeypatch, k1_problem):
     monkeypatch.setattr(adversarial, "find_witness", lambda problem, A: None)
     with pytest.raises(SvauditError, match="no flipping witness"):
         minimal_adversarial_sets(k1_problem)
-    monkeypatch.setattr(adversarial, "_cxps", lambda problem: (frozenset({1}),))
+    monkeypatch.setattr(adversarial, "enumerate_explanations",
+                        lambda problem: ((), (frozenset({1}),)))
     with pytest.raises(SvauditError, match="no flipping point"):
         min_l0_distance(k1_problem)
 

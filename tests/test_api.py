@@ -13,7 +13,7 @@ PUBLIC = [
     "AdversarialSet", "CapacityError", "Dataset", "DecisionTree", "ExplanationProblem",
     "FamilySpec", "FeatureSpace", "InputError", "Leaf", "NoSolutionError", "Node", "Omdd",
     "RelevancyReport", "ScanRecord", "ScanSummary", "SvReport", "SvauditError",
-    "TabularClassifier", "adversarial", "ae_feature_set", "analyze_instance", "axp_rule",
+    "TabularClassifier", "adversarial", "analyze_instance", "axp_rule",
     "build_omdd_from_dataset", "certificate", "cube_size", "enumerate_explanations", "errors",
     "explain", "families", "find_witness", "instantiate", "is_counterfactual", "is_reduced",
     "is_sufficient", "load_consistent_dataset", "load_model", "min_l0_distance",
@@ -21,7 +21,7 @@ PUBLIC = [
     "model_to_dict", "models", "one_axp", "one_cxp", "phi", "rat", "reduce_omdd",
     "relevancy_report", "save_model", "scan", "scan_model", "shapley", "shapley_values",
     "solve_family", "sum_kappa_over_cube", "symbolic_sv", "tabular_to_omdd", "to_omdd",
-    "to_tabular", "validate_efficiency", "varsigma",
+    "to_tabular", "varsigma",
 ]
 
 

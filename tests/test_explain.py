@@ -1,6 +1,7 @@
 """Sufficiency predicates, explanation enumeration, duality, relevancy."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -14,6 +15,8 @@ from oracle import (
     random_problem,
 )
 from svaudit import explain
+from svaudit.adversarial import adversarial_report
+from svaudit.cli import main
 from svaudit.errors import CapacityError, InputError
 from svaudit.explain import (
     axp_rule,
@@ -25,9 +28,13 @@ from svaudit.explain import (
     one_cxp,
     relevancy_report,
 )
+from svaudit.model_io import save_model
 from svaudit.models import (
+    DecisionTree,
     ExplanationProblem,
     FeatureSpace,
+    Leaf,
+    Node,
     TabularClassifier,
     tabular_to_omdd,
     to_tabular,
@@ -285,11 +292,44 @@ def test_axp_rule_rejects_non_axps(k1_problem):
         axp_rule(k1_problem, {0, 1})  # not minimal
 
 
-def test_enumeration_cap():
-    rng = random.Random(41)
-    problem = random_problem(rng, max_features=5)
-    with pytest.raises(CapacityError):
-        enumerate_explanations(problem, cap=problem.m - 1)
+def test_explanation_cap_guards_only_the_brute_engine(tmp_path):
+    # x1 AND x21 over 21 binary features: 2^21 points, under the point cap,
+    # but one feature past the 20 whose 2^m subsets the brute engine filters
+    m = 21
+    x21 = Node(m - 1, ((frozenset({0}), Leaf(0)), (frozenset({1}), Leaf(1))))
+    tree = DecisionTree(FeatureSpace((2,) * m),
+                        Node(0, ((frozenset({0}), Leaf(0)), (frozenset({1}), x21))))
+    ends = frozenset({0, m - 1})
+    middle = [i + 1 for i in range(1, m - 1)]
+    cases = [
+        # at all ones: {x1, x21} is the one AXp, {x1} and {x21} the CXps
+        ((1,) * m, (ends,), (frozenset({0}), frozenset({m - 1})), [1, m],
+         {"min_l0": 1, "minimal_sets": [
+             {"changed": [1], "witness": [0] + [1] * (m - 1), "class": 0},
+             {"changed": [m], "witness": [1] * (m - 1) + [0], "class": 0}]}),
+        # at all zeros: {x1} and {x21} are the AXps, {x1, x21} the one CXp
+        ((0,) * m, (frozenset({0}), frozenset({m - 1})), (ends,), [],
+         {"min_l0": 2, "minimal_sets": [
+             {"changed": [1, m], "witness": [1] + [0] * (m - 2) + [1], "class": 1}]}),
+    ]
+    for point, axps, cxps, necessary, adversarial in cases:
+        problem = ExplanationProblem.of(tree, point)
+        with pytest.raises(CapacityError, match="21 features exceed the enumeration cap 20"):
+            enumerate_explanations(problem, engine="brute")
+        assert enumerate_explanations(problem) == (axps, cxps)
+        assert relevancy_report(problem).to_json_dict() == {
+            "axps": [sorted(i + 1 for i in X) for X in axps],
+            "cxps": [sorted(i + 1 for i in Y) for Y in cxps],
+            "relevant": [1, m], "necessary": necessary, "irrelevant": middle}
+        assert adversarial_report(problem) == adversarial
+    # the CLI runs duality on this model and refuses only --method brute
+    path = tmp_path / "and.json"
+    save_model(tree, path)
+    out = tmp_path / "duality.json"
+    argv = ["explain", "--model", str(path), "--instance", ",".join(["1"] * m)]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["axps"] == [[1, m]]
+    assert main(argv + ["--method", "brute"]) == 1
 
 
 def test_enumeration_agrees_across_representations():

@@ -287,8 +287,8 @@ def test_shared_subtrees_cost_the_node_count_not_the_path_count():
 
 
 def test_adversarial_sets_on_the_shared_chain_cost_the_cxps_not_the_subsets():
-    # the one CXp {x24} is found without probing the 2^24 feature subsets,
-    # and the 20-feature explanation cap does not apply
+    # the one CXp {x24} is found without probing the 2^24 feature subsets;
+    # the 20-feature explanation cap guards only the brute engine
     m = 24
     problem = ExplanationProblem.of(model_from_dict(_shared_chain_doc(m)), (1,) * m)
     start = time.perf_counter()

@@ -733,6 +733,31 @@ def test_model_io_takes_only_integer_or_string_node_ids():
             model_from_dict(json.loads(json.dumps(doc)))
 
 
+@pytest.mark.parametrize("entry,message", [
+    ({"id": 9, "class": "x"}, "leaf classes must be integers"),
+    ({"id": 9, "feature": 99, "edges": "x"}, "node 9 needs a feature and an edge list"),
+    ({"id": 9, "feature": 1, "edges": [{"values": [0, 1], "to": "nowhere"}]},
+     "edge points to unknown node nowhere"),
+])
+def test_model_io_checks_entries_the_root_does_not_reach(entry, message):
+    # every entry is checked and linked, whether or not the root reaches it
+    _, dt, omdd = _one_feature_docs()
+    for doc in (dt, omdd):
+        doc = json.loads(json.dumps(doc))
+        model_from_dict(doc)
+        doc["nodes"].append(entry)
+        with pytest.raises(InputError, match=f"^{message}$"):
+            model_from_dict(doc)
+
+
+def test_model_io_ignores_well_formed_entries_the_root_does_not_reach():
+    _, dt, _ = _one_feature_docs()
+    doc = json.loads(json.dumps(dt))
+    doc["nodes"] += [{"id": 9, "feature": 1, "edges": [{"values": [0, 1], "to": 1}]},
+                     {"id": 10, "class": 1}]
+    assert model_from_dict(doc) == model_from_dict(dt)
+
+
 def test_model_io_resolves_long_chains_without_recursion():
     # a chain far deeper than the interpreter's recursion limit
     n = 5000
