@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import NoSolutionError
+from .errors import InputError, NoSolutionError
 from .explain import enumerate_explanations
 from .models import ExplanationProblem, _Frozen
 
@@ -55,11 +55,21 @@ def find_witness(problem: ExplanationProblem, A):
     return next(_flips(problem, problem.space.validate_subset(A)), None)
 
 
+def _cxp_family(problem: ExplanationProblem, cxps):
+    """The CXps, enumerated unless given; a given family is checked."""
+    if cxps is None:
+        return enumerate_explanations(problem)[1]
+    cxps = tuple(map(problem.space.validate_subset, cxps))
+    if not cxps:
+        raise InputError("the CXp family is empty")
+    return cxps
+
+
 def minimal_adversarial_sets(problem: ExplanationProblem, cxps=None):
     """All subset-minimal adversarial change-sets, each with its lexicographically
     smallest witness: the CXps (given, or enumerated), one ``find_witness`` each."""
     found = []
-    for Y in enumerate_explanations(problem)[1] if cxps is None else cxps:
+    for Y in _cxp_family(problem, cxps):
         hit = find_witness(problem, Y)
         if hit is None:
             raise NoSolutionError(f"CXp {sorted(i + 1 for i in Y)} has no flipping witness")
@@ -75,7 +85,7 @@ def min_l0_distance(problem: ExplanationProblem, cxps=None):
     point at distance k is counterfactual-sufficient with no smaller such
     subset, so it is a size-k CXp, and only those CXps are searched.
     """
-    cxps = enumerate_explanations(problem)[1] if cxps is None else cxps
+    cxps = _cxp_family(problem, cxps)
     k = min(len(Y) for Y in cxps)
     hits = [a for Y in cxps if len(Y) == k for a in _flips(problem, Y)]
     if not hits:

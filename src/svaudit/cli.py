@@ -234,6 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # no command line carries a NUL, and ``open`` raises ValueError on one
+    if argv is not None and any("\0" in str(arg) for arg in argv):
+        print("svaudit: arguments cannot contain a NUL character", file=sys.stderr)
+        return 2
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

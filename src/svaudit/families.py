@@ -1,14 +1,14 @@
 """Parameterized classifier families whose Shapley values contradict relevancy.
 
-Each family is a table template over a small discrete feature space: the
-block with x1=1 is constant alpha, the x1=0 block carries free integer
-parameters sigma_j (family ``a`` uses beta/gamma for its two cells, with the
-(1,0) cell tied to alpha). At the family's fixed instance, feature 1 is
-relevant (indeed necessary) and every other feature is irrelevant, as long
-as alpha differs from every sigma. The per-feature Shapley values are linear
-forms in the parameters, so solving "Sv(1)=0, all other Sv nonzero" over the
-integers synthesizes classifiers whose attribution order is provably
-misleading.
+Each family is a table template over a small discrete feature space whose
+binary x1 is the most significant coordinate. Every x1=1 row has class alpha;
+the x1=0 rows, in point order, follow the family's ``block``: entry j gives
+the row the free integer parameter sigma_j, and ``None`` gives it class 0.
+At the family's fixed instance, feature 1 is relevant (indeed necessary) and
+every other feature is irrelevant, as long as alpha differs from the class
+of every x1=0 row. The per-feature Shapley values are linear forms in the
+parameters, so solving "Sv(1)=0, all other Sv nonzero" over the integers
+synthesizes classifiers whose attribution order is provably misleading.
 
 The closed forms below are verified exactly against the numeric engine in
 the test suite.
@@ -25,8 +25,8 @@ id     features domain sizes    fixed instance
 ``d``  4        (2, 2, 2, 3)    (1, 1, 1, 2)
 ====== ======== =============== ==============
 
-Family ``d`` fills the x1=0 rows with class 0 except where x4=1, which is
-why it additionally requires alpha != 0 for the relevancy structure.
+Family ``a`` names its sigmas (beta, gamma) and puts gamma first. Family ``d``
+has class 0 on its eight x1=0 rows with x4 != 1, so its alpha must not be 0.
 """
 
 from __future__ import annotations
@@ -79,45 +79,31 @@ def _sv_d(a, s):
             F(-(3 * s1 + 5 * s2 + 5 * s3 + 11 * s4), 288))
 
 
-def _cells_a(a, s, x):
-    b, g = s
-    return {(0, 0): g, (0, 1): b, (1, 0): a, (1, 1): a}[x]
-
-
-def _cells_b(a, s, x):
-    return a if x[0] == 1 else s[2 * x[1] + x[2]]
-
-
-def _cells_c(a, s, x):  # also c5, whose x2 takes two values instead of three
-    return a if x[0] == 1 else s[3 * x[1] + x[2]]
-
-
-def _cells_d(a, s, x):
-    if x[0] == 1:
-        return a
-    return s[2 * x[1] + x[2]] if x[3] == 1 else 0
-
-
 class _FamilyDef(_Frozen):
-    __slots__ = _fields = ("arity", "domain_sizes", "instance", "sv", "cell", "alpha_forbidden")
-    _defaults = {"alpha_forbidden": ()}
+    """One family: its space and fixed instance, the x1=0 row layout
+    ``block`` (a sigma index per row, ``None`` for class 0), the closed form
+    ``sv(alpha, sigmas)`` and the pinned ``paper`` pick (alpha, sigmas)."""
+
+    __slots__ = _fields = ("domain_sizes", "instance", "block", "sv", "paper")
+
+    @property
+    def arity(self) -> int:
+        return len(set(self.block) - {None})
+
+    def block_classes(self, sigmas) -> tuple[int, ...]:
+        """Classes of the x1=0 rows, in point order."""
+        return tuple(0 if j is None else sigmas[j] for j in self.block)
 
 
 _FAMILIES = {
-    "a": _FamilyDef(2, (2, 2), (1, 1), _sv_a, _cells_a),
-    "b": _FamilyDef(4, (2, 2, 2), (1, 1, 1), _sv_b, _cells_b),
-    "c": _FamilyDef(9, (2, 3, 3), (1, 2, 2), _sv_c, _cells_c),
-    "c5": _FamilyDef(6, (2, 2, 3), (1, 1, 2), _sv_c5, _cells_c),
-    "d": _FamilyDef(4, (2, 2, 2, 3), (1, 1, 1, 2), _sv_d, _cells_d, alpha_forbidden=(0,)),
-}
-
-# pinned parameter picks behind the "paper" strategy and the --paper flag
-_REFERENCE_PICKS = {
-    "a": (3, (4, 0)),
-    "b": (1, (0, 3, 3, 0)),
-    "c": (1, (0, 2, 0, 0, 5, 0, 0, 8, 0)),
-    "c5": (1, (2, 0, 0, 4, 4, 0)),
-    "d": (1, (5, 2, 4, 9)),
+    "a": _FamilyDef((2, 2), (1, 1), (1, 0), _sv_a, (3, (4, 0))),
+    "b": _FamilyDef((2, 2, 2), (1, 1, 1), tuple(range(4)), _sv_b, (1, (0, 3, 3, 0))),
+    "c": _FamilyDef((2, 3, 3), (1, 2, 2), tuple(range(9)), _sv_c,
+                    (1, (0, 2, 0, 0, 5, 0, 0, 8, 0))),
+    "c5": _FamilyDef((2, 2, 3), (1, 1, 2), tuple(range(6)), _sv_c5, (1, (2, 0, 0, 4, 4, 0))),
+    "d": _FamilyDef((2, 2, 2, 3), (1, 1, 1, 2),
+                    (None, 0, None, None, 1, None, None, 2, None, None, 3, None), _sv_d,
+                    (1, (5, 2, 4, 9))),
 }
 
 FAMILY_IDS = tuple(_FAMILIES)
@@ -151,12 +137,9 @@ class FamilySpec(_Frozen):
             raise InputError("family parameters must be integers")
         if self.psi < 1:
             raise InputError("scale psi must be a positive integer")
-        a = self.effective_alpha
-        if any(a == s for s in self.effective_sigmas):
-            raise InputError("alpha must differ from every sigma (relevancy precondition)")
-        if any(a == c for c in fam.alpha_forbidden):
+        if self.effective_alpha in fam.block_classes(self.effective_sigmas):
             raise InputError(
-                f"family {self.family} needs alpha outside {list(fam.alpha_forbidden)}")
+                "alpha must differ from the class of every x1=0 row (relevancy precondition)")
 
     @property
     def effective_alpha(self) -> int:
@@ -188,14 +171,14 @@ def symbolic_sv(family: str, params) -> tuple[Fraction, ...]:
 def instantiate(spec: FamilySpec) -> ExplanationProblem:
     """Concrete table following the family layout, paired with its fixed instance."""
     fam = _family_def(spec.family)
-    a, s = spec.effective_alpha, spec.effective_sigmas
-    space = FeatureSpace(fam.domain_sizes)
-    table = TabularClassifier.from_function(space, lambda x: fam.cell(a, s, x))
-    return ExplanationProblem.of(table, fam.instance)
+    block = fam.block_classes(spec.effective_sigmas)
+    values = block + (spec.effective_alpha,) * len(block)
+    return ExplanationProblem.of(TabularClassifier(FeatureSpace(fam.domain_sizes), values),
+                                 fam.instance)
 
 
 def _acceptable(fam, alpha, sigmas) -> bool:
-    if any(alpha == s for s in sigmas) or any(alpha == c for c in fam.alpha_forbidden):
+    if alpha in fam.block_classes(sigmas):
         return False
     sv = fam.sv(alpha, sigmas)
     return sv[0] == 0 and all(q != 0 for q in sv[1:])
@@ -216,7 +199,7 @@ def solve_family(family: str, strategy: str = "paper", seed=None,
     key = str(family).lower()
     fam = _family_def(key)
     if strategy == "paper":
-        alpha, sigmas = _REFERENCE_PICKS[key]
+        alpha, sigmas = fam.paper
         return FamilySpec(key, alpha, sigmas, psi=psi)
     if strategy == "grid":
         candidates = itertools.product(range(SIGMA_MAX + 1), repeat=fam.arity)

@@ -56,15 +56,14 @@ _set = object.__setattr__  # constructors store their fields past the frozen ``_
 
 class _Frozen:
     """Base of the immutable value classes. ``_fields`` names the constructor
-    arguments in order and ``_defaults`` the values of those that may be
-    left out. The constructor stores its arguments as they are; a class that
-    converts or checks them defines its own. Equality (same class, equal
+    arguments in order, every one required. The constructor stores its
+    arguments as they are; a class that converts or checks them, or lets an
+    argument be left out, defines its own. Equality (same class, equal
     ``_key()``, by default the field values), hashing, repr and pickling read
     the fields, and any assignment raises ``AttributeError``."""
 
     __slots__ = ()
     _fields = ()
-    _defaults = {}
 
     def __init__(self, *args, **kwargs):
         names = self._fields
@@ -77,7 +76,7 @@ class _Frozen:
                     raise TypeError(f"{cls}() got an unexpected argument {name!r}")
                 if name in names[:len(args)]:
                     raise TypeError(f"{cls}() got multiple values for {name!r}")
-            given = {**self._defaults, **dict(zip(names, args)), **kwargs}
+            given = dict(zip(names, args), **kwargs)
             missing = [name for name in names if name not in given]
             if missing:
                 raise TypeError(f"{cls}() is missing {', '.join(map(repr, missing))}")

@@ -132,9 +132,10 @@ def scan_model(model, sample: Optional[int] = None, seed: int = 0, jobs: int = 1
     if jobs > 1:
         # imported here, so a CLI start does not pay for the pool modules
         from concurrent.futures import ProcessPoolExecutor
-        # each worker receives the model once and keeps its own phi(empty)
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
-                                 initargs=(scanner,)) as pool:
+        # each worker receives the model once and keeps its own phi(empty); a pool
+        # starts all its workers at once, so it gets none beyond the instances
+        with ProcessPoolExecutor(max_workers=min(jobs, len(indices)),
+                                 initializer=_start_worker, initargs=(scanner,)) as pool:
             records = list(pool.map(_scan_in_worker, indices, chunksize=16))
     else:
         records = [scanner(i) for i in indices]

@@ -25,10 +25,16 @@ from svaudit.adversarial import (
     min_l0_distance,
     minimal_adversarial_sets,
 )
-from svaudit.errors import SvauditError
+from svaudit.errors import InputError, SvauditError
 from svaudit.explain import enumerate_explanations, relevancy_report
 from svaudit.model_io import model_to_json
-from svaudit.models import ExplanationProblem, FeatureSpace, tabular_to_omdd, to_tabular
+from svaudit.models import (
+    ExplanationProblem,
+    FeatureSpace,
+    TabularClassifier,
+    tabular_to_omdd,
+    to_tabular,
+)
 
 
 def test_find_witness_k1(k1_problem):
@@ -274,3 +280,18 @@ def test_cli_exits_1_when_a_cxp_has_no_witness(tmp_path, k1_table):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("svaudit: CXp [1] has no flipping witness")
     assert proc.stdout == ""
+
+
+def test_given_cxp_families_are_checked():
+    problem = ExplanationProblem.of(TabularClassifier(FeatureSpace((2, 2)), (0, 1, 1, 1)), (1, 1))
+    with pytest.raises(InputError, match="CXp family is empty"):
+        min_l0_distance(problem, ())
+    with pytest.raises(InputError, match="CXp family is empty"):
+        minimal_adversarial_sets(problem, ())
+    with pytest.raises(InputError, match=r"feature subset \[5\] not within 0\.\.1"):
+        min_l0_distance(problem, [frozenset({5})])
+    with pytest.raises(InputError, match="not within"):
+        minimal_adversarial_sets(problem, [frozenset({5})])
+    # a given family is read once, so a generator serves as well as a tuple
+    cxps = (frozenset(Y) for Y in ({0, 1},))
+    assert min_l0_distance(problem, cxps) == min_l0_distance(problem)

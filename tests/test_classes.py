@@ -44,7 +44,7 @@ FIELDS = {  # constructor arguments, in order
     ScanSummary: ("total", "issues", "zero_sv_relevant"),
     Dataset: ("feature_names", "domain_sizes", "value_maps", "class_map", "rows", "dropped"),
     FamilySpec: ("family", "alpha", "sigmas", "psi"),
-    _FamilyDef: ("arity", "domain_sizes", "instance", "sv", "cell", "alpha_forbidden"),
+    _FamilyDef: ("domain_sizes", "instance", "block", "sv", "paper"),
 }
 
 
@@ -101,10 +101,10 @@ def test_positional_and_keyword_construction_agree_with_defaults():
     assert (spec.family, spec.sigmas, spec.psi) == ("a", (4, 0), 1)
     assert spec == FamilySpec(family="a", alpha=3, sigmas=(4, 0), psi=1)
     assert FamilySpec("a", 3, (4, 0), 2).params == (6, 8, 0)
-    fam = _FamilyDef(2, (2, 2), (1, 1), None, None)
-    assert fam.alpha_forbidden == ()
-    assert fam == _FamilyDef(arity=2, domain_sizes=(2, 2), instance=(1, 1), sv=None, cell=None,
-                             alpha_forbidden=())
+    fam = _FamilyDef((2, 2), (1, 1), (1, 0), None, None)
+    assert fam.arity == 2
+    assert fam == _FamilyDef(domain_sizes=(2, 2), instance=(1, 1), block=(1, 0), sv=None,
+                             paper=None)
 
 
 @pytest.mark.parametrize("make, message", [
@@ -118,7 +118,7 @@ def test_positional_and_keyword_construction_agree_with_defaults():
     (lambda: ExplanationProblem(TabularClassifier(SPACE, TABLE_VALUES), (0, 1), 0), "disagrees"),
     (lambda: ExplanationProblem(TabularClassifier(SPACE, TABLE_VALUES), (0, 3), 1), "outside"),
     (lambda: FamilySpec("a", 4, (4, 0)), "alpha must differ"),
-    (lambda: FamilySpec("d", 0, (5, 2, 4, 9)), "needs alpha outside"),
+    (lambda: FamilySpec("d", 0, (5, 2, 4, 9)), "class of every x1=0 row"),
     (lambda: FamilySpec("a", 3, (4, 0), psi=0), "psi"),
     (lambda: FamilySpec("z", 3, (4, 0)), "unknown family"),
     # integers only, as in model files: no booleans, no truncated floats
@@ -135,7 +135,7 @@ def test_positional_and_keyword_construction_agree_with_defaults():
     (lambda: ScanSummary(3, 1, 0, 4), "takes 3 arguments, 4 given"),
     (lambda: ScanSummary(3, 1, 0, other=4), "unexpected argument 'other'"),
     (lambda: ScanSummary(3, 1, total=0), "multiple values for 'total'"),
-    (lambda: _FamilyDef(2, (2, 2), (1, 1), None), "missing 'cell'$"),
+    (lambda: _FamilyDef((2, 2), (1, 1), (1, 0), None), "missing 'paper'$"),
 ])
 def test_construction_keeps_its_checks(make, message):
     with pytest.raises((SvauditError, TypeError), match=message):
@@ -207,9 +207,11 @@ def test_reprs_are_pinned():
     assert repr(Node(1, ((frozenset({0}), Leaf(0)), (frozenset({1}), Leaf(1))))) == \
         "Node(feature=1, edges=2)"
     family = repr(_FAMILIES["d"])
-    assert family.startswith("_FamilyDef(arity=4, domain_sizes=(2, 2, 2, 3), "
-                             "instance=(1, 1, 1, 2), sv=<function _sv_d at ")
-    assert family.endswith(">, alpha_forbidden=(0,))")
+    assert family.startswith(
+        "_FamilyDef(domain_sizes=(2, 2, 2, 3), instance=(1, 1, 1, 2), "
+        "block=(None, 0, None, None, 1, None, None, 2, None, None, 3, None), "
+        "sv=<function _sv_d at ")
+    assert family.endswith(">, paper=(1, (5, 2, 4, 9)))")
 
 
 def test_assignment_and_deletion_raise():

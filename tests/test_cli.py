@@ -195,6 +195,19 @@ def test_exit_codes(capsys, k1_path, tmp_path):
     assert run(capsys, "frobnicate")[0] == 2
 
 
+def test_nul_in_an_argument_is_a_usage_error(capsys, tmp_path, k1_path):
+    # no command line carries one, but ``open`` raised ValueError on such a path
+    data = tmp_path / "data.csv"
+    data.write_text("x1,y\n0,0\n1,1\n", encoding="utf-8")
+    for argv in (("synth", "--family", "a", "--out", "a\0b"),
+                 ("synth", "--family", "a", "--cert", "\0"),
+                 ("build-omdd", "--data", "\0"),
+                 ("build-omdd", "--data", str(data), "--out", "\0"),
+                 ("explain", "--model", k1_path, "--instance", "1,0,0\0")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "svaudit: arguments cannot contain a NUL character\n")
+
+
 def test_scan_jobs_flag_matches_serial(capsys, k1_path):
     _, serial, _ = run(capsys, "scan", "--model", k1_path, "--all")
     _, parallel, _ = run(capsys, "scan", "--model", k1_path, "--all", "--jobs", "2")

@@ -154,6 +154,12 @@ def test_solver_budget_exhaustion():
         solve_family("d", strategy="random", seed=0, budget=3)
 
 
+def test_instantiate_b_matches_reference_table():
+    problem = instantiate(solve_family("b"))  # the paper pick
+    assert problem.model.values == (0, 3, 3, 0, 1, 1, 1, 1)
+    assert problem.point == (1, 1, 1) and problem.predicted == 1
+
+
 def test_instantiate_c_matches_reference_table():
     table = instantiate(FamilySpec("c", 1, (0, 2, 0, 0, 5, 0, 0, 8, 0))).model
     assert table.values == (0, 2, 0, 0, 5, 0, 0, 8, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1)
@@ -198,7 +204,7 @@ def test_spec_validation():
     with pytest.raises(InputError):
         FamilySpec("a", 4, (4, 0))  # alpha collides with a sigma
     with pytest.raises(InputError):
-        FamilySpec("d", 0, (5, 2, 4, 9))  # family d needs alpha != 0
+        FamilySpec("d", 0, (5, 2, 4, 9))  # alpha collides with family d's class-0 rows
     with pytest.raises(InputError):
         FamilySpec("c5", 1, (2, 0, 0))  # arity
     with pytest.raises(InputError):

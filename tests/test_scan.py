@@ -155,6 +155,37 @@ def test_scan_with_worker_pool(k1_table):
     assert serial == parallel
 
 
+def test_scan_pool_starts_no_more_workers_than_instances(monkeypatch, k1_table):
+    # the pool forks all its workers at the first submit; a stand-in that
+    # records its size and maps serially keeps this test free of processes
+    import concurrent.futures
+
+    from svaudit import scan
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(scan, "_worker_scanner", None)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    for jobs, sample, workers in ((8, 2, 2), (2, 5, 2), (8, None, 8), (16, None, 8)):
+        assert scan_model(k1_table, sample=sample, seed=3, jobs=jobs) == \
+            scan_model(k1_table, sample=sample, seed=3)
+        assert sizes.pop() == workers
+
+
 def test_records_csv(k1_table):
     records, _ = scan_model(k1_table)
     text = records_to_csv(records, k1_table.space)
