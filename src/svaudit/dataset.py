@@ -2,10 +2,13 @@
 
 Ingestion keeps the first occurrence of every feature vector and drops later
 contradicting rows, then completes the function with the majority class
-(ties broken toward the smallest label) before building a diagram. It reads
-the file in one pass that counts the rows by their raw cells, and strips,
-codes and resolves each distinct row once, so its time and memory follow the
-distinct rows rather than all rows.
+(ties broken toward the smallest label) before building a diagram. It counts
+the file's raw lines and parses each distinct line once (record by record
+when the file holds a quote), strips and codes each column's distinct raw
+cells once, and maps whole columns through those codes, so its time and
+memory follow the distinct lines and cell values rather than all rows. The
+diagram's table is filled column by column, and the reducer's node list
+becomes the ``Omdd`` with no ``Node`` or ``Leaf`` made.
 
 This module loads no engine, so ``build-omdd`` starts without them. Its names
 are exported through ``svaudit.scan``, their public home.
@@ -16,6 +19,9 @@ from __future__ import annotations
 import csv
 import re
 from collections import Counter
+from functools import partial
+from itertools import compress
+from operator import ne
 
 from .errors import InputError
 from .models import FeatureSpace, Omdd, TabularClassifier, _Frozen, tabular_to_omdd
@@ -62,15 +68,37 @@ def _filled(row) -> bool:
     return any(map(str.strip, row))
 
 
-def _rows(path):
-    """The file's CSV rows; undecodable or malformed text is an input error."""
+def _raw_rows(path) -> dict:
+    """The file's raw CSV rows, counted in first-seen order. With no ``"`` in
+    the file every line is one record, so each distinct line is parsed once;
+    a file that holds one is read record by record, the only way to read
+    quoted commas and line breaks. A scan of the bytes, block by block,
+    picks the path. Undecodable or malformed text is an input error."""
     try:
+        with open(path, "rb") as fp:
+            quoted = any(b'"' in block for block in iter(partial(fp.read, 1 << 16), b""))
         with open(path, "r", encoding="utf-8", newline="") as fp:
-            yield from csv.reader(fp)
+            if quoted:
+                return Counter(map(tuple, csv.reader(fp)))
+            lines = Counter(fp)
+        rows = {}  # one row may stand under several line ends
+        for row, n in zip(map(tuple, csv.reader(lines)), lines.values()):
+            rows[row] = rows.get(row, 0) + n
+        return rows
     except UnicodeDecodeError as exc:
         raise InputError(f"dataset {path} is not UTF-8 text: {exc}") from exc
     except csv.Error as exc:
         raise InputError(f"dataset {path} is not readable CSV: {exc}") from exc
+
+
+def _columns(rows, width):
+    """``(columns, stripped)`` of rows all ``width`` cells long, where
+    ``stripped[j]`` maps each distinct raw cell of column j to its stripped
+    text; None if some row has another width."""
+    if set(map(len, rows)) - {width}:
+        return None
+    columns = list(zip(*rows))
+    return columns, [{cell: cell.strip() for cell in set(column)} for column in columns]
 
 
 def load_consistent_dataset(path) -> Dataset:
@@ -79,42 +107,46 @@ def load_consistent_dataset(path) -> Dataset:
     lexicographic otherwise). Later rows contradicting an earlier feature
     vector are dropped (first wins). Blank rows are skipped; a ragged row, or
     a row that repeats the header (two files joined, say), is an error."""
-    rows = _rows(path)
-    header = next(filter(_filled, rows), None)
-    counts = Counter(map(tuple, rows))  # raw rows in first-seen order
-    stripped = ((tuple(map(str.strip, row)), n) for row, n in counts.items())
-    body = [(cells, n) for cells, n in stripped if any(cells)]
-    if not body:
-        raise InputError("dataset needs a header and at least one data row")
+    counts = _raw_rows(path)
+    header = next(filter(_filled, counts), ())
+    if header:
+        counts[header] -= 1  # the header's own line
     header = tuple(cell.strip() for cell in header)
     width = len(header)
+    body = [row for row, n in counts.items() if n and _filled(row)]
+    split = _columns(body, width)
+    if not body:
+        raise InputError("dataset needs a header and at least one data row")
     if width < 2:
         raise InputError("dataset needs at least one feature column and a class column")
-    if any(len(row) != width or row == header for row, _ in body):
-        # the distinct rows lost their positions: number the filled rows again
-        numbered = enumerate(filter(_filled, _rows(path)), start=1)
-        next(numbered)  # the header
-        for lineno, row in numbered:
-            if len(row) != width:
-                raise InputError(f"row {lineno} has {len(row)} cells, expected {width}")
-            if tuple(map(str.strip, row)) == header:
-                raise InputError(f"row {lineno} repeats the header")
+    if split is None or all(name in cells.values() for name, cells in zip(header, split[1])):
+        # a ragged row, or every column holds its header's name: number the
+        # filled rows again and report the first ragged row or repeated
+        # header, if there is one
+        with open(path, "r", encoding="utf-8", newline="") as fp:
+            numbered = enumerate(filter(_filled, csv.reader(fp)), start=1)
+            next(numbered)  # the header
+            for lineno, row in numbered:
+                if len(row) != width:
+                    raise InputError(f"row {lineno} has {len(row)} cells, expected {width}")
+                if tuple(map(str.strip, row)) == header:
+                    raise InputError(f"row {lineno} repeats the header")
 
-    *columns, labels = map(set, zip(*(row for row, _ in body)))
-    value_maps = [_column_codes(values, name) for values, name in zip(columns, header)]
-    class_of = _integers(labels, header[-1])
+    columns, stripped = split
+    *features, classes = stripped
+    value_maps = [_column_codes(set(cells.values()), name) for cells, name in zip(features, header)]
+    class_of = _integers(set(classes.values()), header[-1])
     class_map = None
     if class_of is None:
-        class_of = class_map = _column_codes(labels, header[-1])
-
+        class_of = class_map = _column_codes(set(classes.values()), header[-1])
+    # code each distinct raw cell once, then map whole columns
+    points = zip(*[map({raw: codes[cell] for raw, cell in cells.items()}.__getitem__, column)
+                   for codes, cells, column in zip(value_maps, features, columns)])
+    labels = list(map({raw: class_of[cell] for raw, cell in classes.items()}.__getitem__,
+                      columns[-1]))
     first_label = {}  # point -> label of its first row, in first-seen order
-    dropped = 0
-    for row, n in body:
-        # ``map`` stops at the last feature cell; the class cell is row[-1]
-        point = tuple(map(dict.__getitem__, value_maps, row))
-        label = class_of[row[-1]]
-        if first_label.setdefault(point, label) != label:
-            dropped += n
+    firsts = list(map(first_label.setdefault, points, labels))
+    dropped = sum(compress(map(counts.__getitem__, body), map(ne, firsts, labels)))
     return Dataset(
         feature_names=tuple(header[:-1]),
         domain_sizes=tuple(map(len, value_maps)),
@@ -130,10 +162,15 @@ def build_omdd_from_dataset(dataset: Dataset) -> Omdd:
     points the dataset never mentions get the majority class (ties break
     toward the smallest label)."""
     space = dataset.space
-    counts = Counter(label for _, label in dataset.rows)
+    points, labels = zip(*dataset.rows)
+    counts = Counter(labels)
     default = min(counts, key=lambda c: (-counts[c], c))
+    # each row's index in the table, column by column, feature 1 most significant
+    places = [0] * len(points)
+    for column, d in zip(zip(*points), space.domain_sizes):
+        places = [place * d + x for place, x in zip(places, column)]
     values = [default] * space.size
-    for point, label in dataset.rows:
-        values[space.index(point)] = label
+    for place, label in zip(places, labels):
+        values[place] = label
     table = TabularClassifier(space, tuple(values))  # rejects a constant completion
     return tabular_to_omdd(table)

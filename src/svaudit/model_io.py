@@ -65,28 +65,58 @@ def save_model(model: Classifier, path) -> None:
 
 
 def model_to_json(model: Classifier) -> str:
-    """``json.dumps(model_to_dict(model), indent=2)`` and a newline, written
-    without the pure-Python encoder that ``json`` falls back to when given
-    an indent."""
-    return _indented(model_to_dict(model), "\n") + "\n"
+    """The model's document as ``json.dumps(doc, indent=2)`` writes it, and a
+    newline, straight from a table's values or a graph's node list; graph
+    entries are numbered in preorder from the root, edges by smallest value."""
+    space = model.space
+    features = [_FEATURE % (encode_basestring_ascii(name), d)
+                for name, d in zip(space.feature_names, space.domain_sizes)]
+    head = [_list(features, "  "), _list(map(str, sorted(model.class_values())), "  ")]
+    if isinstance(model, TabularClassifier):
+        rows = [_list(map(str, (*p, c)), "    ") for p, c in zip(space.points(), model.values)]
+        return _DOC % ("table", *head, "", "rows", _list(rows, "  "))
+    if not isinstance(model, (DecisionTree, Omdd)):
+        raise InputError(f"cannot serialize {type(model).__name__}")
+    nodes = model.nodes
+    labels = {vs: (min(vs), _list(map(int.__repr__, sorted(vs)), "          "))  # sort key, text
+              for vs in {vs for f, edges in nodes if f is not None for vs, _ in edges}}
+    ids = {}  # position in ``nodes`` -> preorder id
+    entries = []
+
+    def visit(k):
+        if k not in ids:
+            nid = ids[k] = len(entries)
+            entries.append(None)
+            f, edges = nodes[k]
+            if f is not None:
+                edges = sorted([(*labels[values], c) for values, c in edges])
+                edges = _list([_EDGE % (text, visit(c)) for _, text, c in edges], "      ")
+            entries[nid] = _LEAF % (nid, edges) if f is None else _NODE % (nid, f + 1, edges)
+        return ids[k]
+
+    visit(len(nodes) - 1)
+    if isinstance(model, DecisionTree):
+        return _DOC % ("dt", *head, "", "nodes", _list(entries, "  "))
+    order = '\n  "order": %s,' % _list([str(f + 1) for f in model.order], "  ")
+    return _DOC % ("omdd", *head, order, "nodes", _list(entries, "  "))
 
 
-def _indented(obj, newline) -> str:
-    """Indent-2 JSON of a document of dicts, lists, strings and ints; ``newline``
-    is a line break followed by the indent of the line ``obj`` starts on."""
-    if type(obj) is str:
-        return encode_basestring_ascii(obj)
-    if type(obj) is int:
-        return int.__repr__(obj)
-    inner = newline + "  "
-    if type(obj) is dict:
-        if not obj:
-            return "{}"
-        items = [encode_basestring_ascii(k) + ": " + _indented(v, inner) for k, v in obj.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if not obj:
-        return "[]"
-    return "[" + inner + ("," + inner).join([_indented(x, inner) for x in obj]) + newline + "]"
+# indent-2 JSON, as ``json.dumps`` writes it
+_DOC = '{\n  "type": "%s",\n  "features": %s,\n  "classes": %s,%s\n  "%s": %s\n}\n'
+_FEATURE = '{\n      "name": %s,\n      "domain": %d\n    }'
+_LEAF = '{\n      "id": %d,\n      "class": %d\n    }'
+_NODE = '{\n      "id": %d,\n      "feature": %d,\n      "edges": %s\n    }'
+_EDGE = '{\n          "values": %s,\n          "to": %d\n        }'
+
+
+def _list(items, pad) -> str:
+    """A list of written items, opened on a line indented by ``pad``."""
+    inner = "\n  " + pad
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
+def model_to_dict(model: Classifier) -> dict:
+    return json.loads(model_to_json(model))
 
 
 def _space_from_doc(doc) -> FeatureSpace:
@@ -159,8 +189,8 @@ def _graph_from_doc(doc, space):
     """The root of the graph, after one object per entry is made in list
     order and then the edges of every entry are linked. An entry the root
     does not reach is checked like any other, then ignored. A cycle is left
-    to the model's construction walk, which rejects it within m levels: it
-    tests a feature twice on one path, or does not advance in the order."""
+    to the model's construction walk, which rejects it within m levels as a
+    feature tested twice on one path."""
     entries = doc.get("nodes")
     if not isinstance(entries, list) or not entries:
         raise InputError('model needs a nonempty "nodes" list')
@@ -209,50 +239,3 @@ def _edges_of_entry(e, nid, space) -> list:
                 f"edge on node {nid} points to {edge['to']!r}; ids must be integers or strings")
         edges.append((frozenset(values), edge["to"]))
     return edges
-
-
-def model_to_dict(model: Classifier) -> dict:
-    space = model.space
-    doc = {
-        "type": None,
-        "features": [{"name": n, "domain": d}
-                     for n, d in zip(space.feature_names, space.domain_sizes)],
-        "classes": sorted(model.class_values()),
-    }
-    if isinstance(model, TabularClassifier):
-        doc["type"] = "table"
-        doc["rows"] = [list(p) + [c] for p, c in zip(space.points(), model.values)]
-        return doc
-    if isinstance(model, DecisionTree):
-        doc["type"] = "dt"
-    elif isinstance(model, Omdd):
-        doc["type"] = "omdd"
-        doc["order"] = [f + 1 for f in model.order]
-    else:
-        raise InputError(f"cannot serialize {type(model).__name__}")
-    doc["nodes"] = _graph_to_entries(model.nodes)
-    return doc
-
-
-def _graph_to_entries(nodes) -> list:
-    """Node entries numbered in preorder from the root, edges by smallest value."""
-    ids = {}
-    entries = []
-
-    def visit(k):
-        if k in ids:
-            return ids[k]
-        nid = ids[k] = len(ids)
-        entry = {"id": nid}
-        entries.append(entry)
-        f, edges = nodes[k]
-        if f is None:
-            entry["class"] = edges
-        else:
-            entry["feature"] = f + 1
-            edges = sorted(edges, key=lambda e: min(e[0]))
-            entry["edges"] = [{"values": sorted(vs), "to": visit(ch)} for vs, ch in edges]
-        return nid
-
-    visit(len(nodes) - 1)
-    return entries

@@ -8,23 +8,22 @@ Three total-function representations over a common discrete feature space:
 * ``Omdd`` -- ordered multi-valued decision diagram: a decision graph whose
   paths test features in one variable order.
 
-Trees and diagrams share one read-once graph core: one ``Node`` and one
-``Leaf`` type, one construction walk that stores the distinct nodes children
-first, and one pass per computation over that list (the counterexample
-search visits each node at most once). A tree may share subtrees, so every
-cost is polynomial in the node count, not the path count.
+Trees and diagrams share one read-once graph core: a graph is its checked
+node list, the distinct nodes children first, and each computation is one
+pass over it (the counterexample search visits each node at most once), so
+every cost follows the node count, not the path count. ``Node`` and
+``Leaf`` objects are a view: a graph built from them flattens them into
+its list, and ``root`` makes them from the list on first read.
 
 One reducer builds every OMDD: a unique table over integer ids (Bryant,
 1986), where a node is keyed by its feature and its child's id for each
 value, so isomorphic nodes share an id, and a node whose values all lead to
-one child is that child. ``Node`` and ``Leaf`` objects are made once, at the
-end, for the ids the root reaches, edges grouped by child in order of first
-value. ``to_omdd`` (also ``tabular_to_omdd``) collapses a table's axes
-through it, and folds a tree's or a diagram's node list through it, children
-first, under any variable order: where a child starts earlier in the order
-than its parent, the fold splits on that feature (Bryant's apply), so no
-table is built. ``reduce_omdd`` folds a diagram under its own order only
-when ``is_reduced``, a check of the rule on the stored node list, fails.
+one child is that child; the ``Omdd`` is made from the node list it emits.
+``to_omdd`` (also ``tabular_to_omdd``) collapses a table's axes through it,
+and folds a graph's node list through it under any variable order: where a
+child starts earlier in the order than its parent, the fold splits on that
+feature (Bryant's apply), so no table is built. ``reduce_omdd`` folds a
+diagram under its own order only when ``is_reduced`` fails.
 
 A table keeps its values for ``lookup`` and the ``enumerate`` cube sum. On
 first use it caches ``nodes``, the node list of its reduced OMDD under the
@@ -161,7 +160,9 @@ class FeatureSpace(_Frozen):
     def validate_subset(self, features) -> frozenset[int]:
         S = frozenset(features)
         if not all(type(i) is int and 0 <= i < self.m for i in S):
-            raise InputError(f"feature subset {sorted(S)} not within 0..{self.m - 1}")
+            # integers first: mixed types do not compare, so the rest go by repr
+            shown = sorted(S, key=lambda i: (type(i) is not int, i if type(i) is int else repr(i)))
+            raise InputError(f"feature subset {shown} not within 0..{self.m - 1}")
         return S
 
     def points(self) -> Iterator[tuple[int, ...]]:
@@ -263,84 +264,70 @@ class Node(_Frozen):
 class _DecisionGraph(_Frozen):
     """Read-once decision graph: the core of ``DecisionTree`` and ``Omdd``.
 
-    Construction checks every node once and stores ``nodes``, the distinct
-    nodes children first (the root last): ``(feature, ((values, child
-    position), ...))`` for an internal node, ``(None, class_value)`` for a
-    leaf. Point lookups and every per-node pass (cube sums, counterexamples,
-    Shapley, serialization) read that list, so a node shared by several
-    paths is visited once. No query walks ``root``.
-    """
+    A graph is its node list ``nodes``, the distinct nodes children first
+    (the root last): ``(feature, ((values, child position), ...))`` for an
+    internal node, ``(None, class_value)`` for a leaf. Lookups and every
+    per-node pass (cube sums, counterexamples, Shapley, serialization) read
+    that list, so a shared node is visited once. The constructor flattens
+    ``root`` and the reducer hands its list over (``_of``); one check of the
+    list follows. ``root`` is a view made on first read; no query walks it."""
 
     __slots__ = ("nodes", "classes")
 
-    def _index(self, rank=None):
-        """Validate the graph below ``root`` and store ``nodes`` and ``classes``.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._check(_flatten(self.root, self.space.m))
 
-        ``rank`` maps features to positions in a variable order; every edge
-        between internal nodes must then move to a strictly later position.
-        """
-        m = self.space.m
+    @classmethod
+    def _of(cls, *args):
+        """The graph of ``args``: its fields, with the node list in place of ``root``."""
+        self = object.__new__(cls)
+        vars(self).update(zip(cls._fields, args[:-1]))
+        self._check(args[-1])
+        return self
+
+    def _check(self, nodes, rank=None):
+        """Check a node list and store it and ``classes``. Under ``rank``, the
+        order position of each feature, every edge must move to a later one."""
         domains = [frozenset(range(d)) for d in self.space.domain_sizes]
-        post = {}  # id -> position in ``nodes``
-        nodes = []
         tested = []  # bitmask of the features tested at or beneath each node
         classes = set()
-
-        def visit(node, used, above):
-            # ``used`` holds the features tested on the path down to here and
-            # ``above`` the last one's position in the order, so the recursion
-            # ends within m levels however deep a malformed chain is
-            if isinstance(node, Node):
-                f = node.feature
-                if not 0 <= f < m:
-                    raise InputError(f"node tests unknown feature {f}")
-                if rank is not None and rank[f] <= above:
-                    raise InputError("edge does not advance in the variable order")
-                if used >> f & 1:
-                    raise InputError(f"feature {f + 1} tested twice on one path")
-            if id(node) in post:
-                return post[id(node)]
-            if isinstance(node, Leaf):
-                c = _class_value(node.class_value)
-                classes.add(c)
-                nodes.append((None, c))
+        for f, edges in nodes:
+            if f is None:
+                classes.add(edges)
                 tested.append(0)
-            elif not isinstance(node, Node):
-                raise InputError(f"unexpected node object {node!r}")
-            else:
-                here = -1 if rank is None else rank[f]
-                covered = set()
-                mask = 0
-                edges = []
-                for values, child in node.edges:
-                    if type(values) is not frozenset:
-                        raise InputError(f"edge label {values!r} is not a frozenset")
-                    if not values:
-                        raise InputError("empty edge label")
-                    if not values <= domains[f]:
-                        raise InputError(f"edge label {sorted(values)} outside domain of feature {f + 1}")
-                    if values & covered:
-                        raise InputError(f"overlapping edge labels at feature {f + 1}")
-                    covered |= values
-                    c = visit(child, used | 1 << f, here)
-                    mask |= tested[c]
-                    edges.append((values, c))
-                if covered != domains[f]:
-                    raise InputError(f"edges of feature {f + 1} do not cover its domain")
-                # a node first reached by another path escapes the check on
-                # ``used``; every node beneath this one lies on a path through it
-                if mask >> f & 1:
-                    raise InputError(f"feature {f + 1} tested twice on one path")
-                nodes.append((f, tuple(edges)))
-                tested.append(mask | 1 << f)
-            k = post[id(node)] = len(nodes) - 1
-            return k
-
-        visit(self.root, 0, -1)
+                continue
+            covered = set()
+            mask = 0
+            for values, c in edges:
+                if type(values) is not frozenset:
+                    raise InputError(f"edge label {values!r} is not a frozenset")
+                if not values:
+                    raise InputError("empty edge label")
+                if not values <= domains[f]:
+                    raise InputError(f"edge label {sorted(values)} outside domain of feature {f + 1}")
+                if values & covered:
+                    raise InputError(f"overlapping edge labels at feature {f + 1}")
+                covered |= values
+                mask |= tested[c]
+                if rank is not None and nodes[c][0] is not None and rank[nodes[c][0]] <= rank[f]:
+                    raise InputError("edge does not advance in the variable order")
+            if covered != domains[f]:
+                raise InputError(f"edges of feature {f + 1} do not cover its domain")
+            if mask >> f & 1:  # a shared node below escapes the walk's path check
+                raise InputError(f"feature {f + 1} tested twice on one path")
+            tested.append(mask | 1 << f)
         if len(classes) < 2:
             raise InputError("classifier is constant; at least two classes must occur")
         _set(self, "nodes", tuple(nodes))
         _set(self, "classes", frozenset(classes))
+
+    @functools.cached_property
+    def root(self):
+        made = []
+        for f, es in self.nodes:
+            made.append(Leaf(es) if f is None else Node(f, tuple([(vs, made[c]) for vs, c in es])))
+        return made[-1]
 
     def evaluate(self, point) -> int:
         return self.lookup(self.space.validate_point(point))
@@ -360,11 +347,13 @@ class _DecisionGraph(_Frozen):
     def nonterminal_count(self) -> int:
         return sum(1 for f, _ in self.nodes if f is not None)
 
-    # Compare, hash and name the stored node list in place of ``root``, the
-    # last field: by-value methods would walk ``root`` once per root-to-leaf
-    # path, and a by-value repr would spell every path out.
+    # Compare, hash, name and pickle the node list in place of ``root``: a
+    # walk of ``root`` would follow every root-to-leaf path.
     def _key(self):
-        return self._values()[:-1] + (self.nodes,)
+        return (*[getattr(self, name) for name in self._fields[:-1]], self.nodes)
+
+    def __reduce__(self):
+        return type(self)._of, self._key()
 
     def __repr__(self):
         fields = "".join(f"{name}={getattr(self, name)!r}, " for name in self._fields[:-1])
@@ -377,11 +366,7 @@ class DecisionTree(_DecisionGraph):
     Subtrees may be shared as long as every path stays read-once.
     """
 
-    __slots__ = _fields = ("space", "root")
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._index()
+    _fields = ("space", "root")  # ``root`` lives in the instance ``__dict__``
 
     # each representation holds its own evaluate, so it can be wrapped alone
     evaluate = _DecisionGraph.evaluate
@@ -397,12 +382,11 @@ class Omdd(_DecisionGraph):
     No computation reads the order: it constrains and serializes the diagram.
     """
 
-    __slots__ = _fields = ("space", "order", "root")
+    _fields = ("space", "order", "root")
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def _check(self, nodes):
         _set(self, "order", tuple(self.order))
-        self._index(_rank(self.order, self.space.m))
+        super()._check(nodes, _rank(self.order, self.space.m))
 
     evaluate = _DecisionGraph.evaluate
 
@@ -415,6 +399,39 @@ def _rank(order, m) -> list[int]:
     for k, f in enumerate(order):
         rank[f] = k
     return rank
+
+
+def _flatten(root, m) -> list:
+    """The node list of the graph below ``root``: its distinct nodes in
+    postorder, edges in stored order. ``used`` holds the features tested on
+    the path down, so a cycle ends within m levels as a feature tested twice."""
+    post = {}  # id -> position in the list
+    nodes = []
+
+    def visit(node, used):
+        if isinstance(node, Node):
+            f = node.feature
+            if not 0 <= f < m:
+                raise InputError(f"node tests unknown feature {f}")
+            if used >> f & 1:
+                raise InputError(f"feature {f + 1} tested twice on one path")
+        k = post.get(id(node))
+        if k is None:
+            if isinstance(node, Node):
+                edges = []
+                for values, child in node.edges:
+                    edges.append((values, visit(child, used | 1 << f)))
+                entry = (f, tuple(edges))
+            elif isinstance(node, Leaf):
+                entry = (None, _class_value(node.class_value))
+            else:
+                raise InputError(f"unexpected node object {node!r}")
+            k = post[id(node)] = len(nodes)
+            nodes.append(entry)
+        return k
+
+    visit(root, 0)
+    return nodes
 
 
 Classifier = Union[TabularClassifier, DecisionTree, Omdd]
@@ -552,9 +569,8 @@ def _reducer(order, sizes):
     diagram with that key, ``c`` or ``(f, *kids)``; ``node`` returns the
     child when every value leads to it. So isomorphic nodes share an id and
     the edges to one child are joined. ``merge`` is ``node`` over children
-    that may start earlier in ``order`` than f. ``build(root)`` makes the
-    ``Leaf`` and ``Node`` objects once, for the ids ``root`` reaches, each
-    node's edges grouped by child in order of first value."""
+    that may start earlier in ``order`` than f. ``emit(root)`` lists the ids
+    ``root`` reaches in postorder, edges grouped by child by first value."""
     rank = _rank(order, len(sizes))
     unique = {}
     rows = []  # id -> its key
@@ -601,26 +617,28 @@ def _reducer(order, sizes):
                                                  for by_value in zip(*cofactors)])
         return out
 
-    def build(root):
-        made = {}
+    def emit(root):
+        pos = {}  # id -> position in the list
+        nodes = []
 
-        def make(i):
-            out = made.get(i)
-            if out is None:
+        def visit(i):
+            if i not in pos:
                 key = rows[i]
                 if tops[i] == len(order):
-                    out = Leaf(key)
+                    entry = (None, key)
                 else:
                     groups = {}
                     for x, c in enumerate(key[1:]):
                         groups.setdefault(c, []).append(x)
-                    out = Node(key[0], tuple((frozenset(xs), make(c)) for c, xs in groups.items()))
-                made[i] = out
-            return out
+                    entry = (key[0], tuple([(frozenset(xs), visit(c)) for c, xs in groups.items()]))
+                pos[i] = len(nodes)
+                nodes.append(entry)
+            return pos[i]
 
-        return make(root)
+        visit(root)
+        return nodes
 
-    return leaf, node, merge, build
+    return leaf, node, merge, emit
 
 
 def to_omdd(model: Classifier, order=None) -> Omdd:
@@ -629,15 +647,14 @@ def to_omdd(model: Classifier, order=None) -> Omdd:
 
     A table collapses its axes one at a time, the last feature of the order
     first: each group of entries along the axis becomes one reducer ``node``.
-    A tree or a diagram is folded children first over its stored node list
-    (see ``_fold``), so no table is built and the cost follows the graph and
-    the result, not the point count. Only the result's nodes become objects.
-    """
+    A tree or a diagram is folded children first over its node list (see
+    ``_fold``), so the cost follows the graph and the result, not the point
+    count. No table, and no ``Node`` or ``Leaf``, is made."""
     space = model.space
     order = tuple(order) if order is not None else tuple(range(space.m))
     if not isinstance(model, TabularClassifier):
-        return Omdd(space, order, _fold(model.nodes, order, space.domain_sizes))
-    leaf, node, _, build = _reducer(order, space.domain_sizes)
+        return Omdd._of(space, order, _fold(model.nodes, order, space.domain_sizes))
+    leaf, node, _, emit = _reducer(order, space.domain_sizes)
     cells = list(map(leaf, model.values))
     axes = list(space.domain_sizes)  # a collapsed axis keeps size 1
     for f in reversed(order):
@@ -647,7 +664,7 @@ def to_omdd(model: Classifier, order=None) -> Omdd:
         cells = [node(f, cells[i:i + block:stride])
                  for start in range(0, len(cells), block)
                  for i in range(start, start + stride)]
-    return Omdd(space, order, build(cells[0]))
+    return Omdd._of(space, order, emit(cells[0]))
 
 
 # One function object: the traced benchmark finds it under the old name.
@@ -655,11 +672,11 @@ tabular_to_omdd = to_omdd
 
 
 def _fold(nodes, order, sizes):
-    """Root of the reduced OMDD under ``order`` of the read-once graph stored
-    children first in ``nodes``: each stored node goes through the reducer's
-    ``merge`` once its children are reduced, which splits it where a child
-    starts earlier in ``order`` than the node."""
-    leaf, _, merge, build = _reducer(order, sizes)
+    """Node list of the reduced OMDD under ``order`` of the read-once graph
+    stored children first in ``nodes``: each stored node goes through the
+    reducer's ``merge`` once its children are reduced, which splits it where
+    a child starts earlier in ``order`` than the node."""
+    leaf, _, merge, emit = _reducer(order, sizes)
     out = []
     for f, edges in nodes:
         if f is None:
@@ -670,7 +687,7 @@ def _fold(nodes, order, sizes):
             for x in values:
                 kids[x] = out[c]
         out.append(merge(f, kids, {}))
-    return build(out[-1])
+    return emit(out[-1])
 
 
 def reduce_omdd(omdd: Omdd) -> Omdd:

@@ -214,9 +214,15 @@ def o_dataset(path):
     """Row-by-row reference for ``load_consistent_dataset``: read every row,
     strip every cell (the first ragged row, or row equal to the header, is an
     error), code each column from all its cells, then walk the rows in file
-    order keeping the first label of each point."""
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        table = [row for row in csv.reader(fp) if row and any(cell.strip() for cell in row)]
+    order keeping the first label of each point. Undecodable or malformed
+    text is an input error."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fp:
+            table = [row for row in csv.reader(fp) if row and any(cell.strip() for cell in row)]
+    except UnicodeDecodeError as exc:
+        raise InputError(f"dataset {path} is not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        raise InputError(f"dataset {path} is not readable CSV: {exc}") from exc
     if len(table) < 2:
         raise InputError("dataset needs a header and at least one data row")
     header = [cell.strip() for cell in table[0]]
@@ -260,6 +266,42 @@ def o_dataset(path):
         rows.append((point, label))
     return Dataset(tuple(header[:-1]), tuple(len(m) for m in value_maps), tuple(value_maps),
                    class_map, tuple(rows), dropped)
+
+
+def o_model_doc(model):
+    """The model file document from the definition: a table lists a row per
+    point; a graph numbers the ``Node``/``Leaf`` objects below ``root`` in
+    preorder, each node's edges by smallest value."""
+    space = model.space
+    doc = {"type": "table" if isinstance(model, TabularClassifier) else
+           "dt" if isinstance(model, DecisionTree) else "omdd",
+           "features": [{"name": name, "domain": d}
+                        for name, d in zip(space.feature_names, space.domain_sizes)],
+           "classes": sorted(model.class_values())}
+    if isinstance(model, TabularClassifier):
+        doc["rows"] = [[*p, model.evaluate(p)] for p in space.points()]
+        return doc
+    if isinstance(model, Omdd):
+        doc["order"] = [f + 1 for f in model.order]
+    entries = []
+    ids = {}
+
+    def visit(node):
+        if id(node) not in ids:
+            ids[id(node)] = len(entries)
+            entry = {"id": ids[id(node)]}
+            entries.append(entry)
+            if isinstance(node, Leaf):
+                entry["class"] = node.class_value
+            else:
+                entry["feature"] = node.feature + 1
+                entry["edges"] = [{"values": sorted(values), "to": visit(child)} for values, child
+                                  in sorted(node.edges, key=lambda edge: min(edge[0]))]
+        return ids[id(node)]
+
+    visit(model.root)
+    doc["nodes"] = entries
+    return doc
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Representations, cube arithmetic, conversions, and the model file format."""
 
 import json
+import pickle
 import random
 from collections import Counter
 
@@ -11,6 +12,7 @@ from oracle import (
     k_of_n_tree,
     o_counterexample,
     o_is_reduced,
+    o_model_doc,
     random_dag,
     random_dt,
     random_raw_omdd,
@@ -484,12 +486,12 @@ def test_loaded_omdd_is_canonicalized(tmp_path, k1_table):
 
 def test_loading_builds_each_model_once(monkeypatch, k1_table, k1_dt):
     # a reduced diagram is kept as loaded; only an unreduced one is folded
-    # into a second diagram
+    # into a second diagram: one check of a node list per model made
     import svaudit.models as models
-    walks = []
-    index = models._DecisionGraph._index
-    monkeypatch.setattr(models._DecisionGraph, "_index",
-                        lambda self, rank=None: walks.append(1) or index(self, rank))
+    checks = []
+    check = models._DecisionGraph._check
+    monkeypatch.setattr(models._DecisionGraph, "_check",
+                        lambda self, nodes, rank=None: checks.append(1) or check(self, nodes, rank))
     raw = model_to_dict(tabular_to_omdd(k1_table, (2, 0, 1)))
     # point one of the edges into the class-1 leaf at a copy of that leaf
     unreduced = json.loads(json.dumps(raw))
@@ -500,9 +502,9 @@ def test_loading_builds_each_model_once(monkeypatch, k1_table, k1_dt):
     assert len(into) > 1
     into[0]["to"] = "copy"
     for doc, builds in ((model_to_dict(k1_dt), 1), (raw, 1), (unreduced, 2)):
-        walks.clear()
+        checks.clear()
         model = model_from_dict(json.loads(json.dumps(doc)))
-        assert len(walks) == builds
+        assert len(checks) == builds
         assert [model.evaluate(p) for p in model.space.points()] == list(k1_table.values)
 
 
@@ -557,8 +559,9 @@ def test_to_omdd_of_a_graph_equals_the_table_collapse_under_any_order():
 
 
 def test_to_omdd_makes_objects_only_for_the_result(monkeypatch):
-    # the fold and its splits work on ids: the only Node objects made are
-    # the result's internal nodes, and the only Leaf objects its leaves
+    # the fold, its splits and the emitted node list work on ids and list
+    # positions: no Node or Leaf is made until ``root`` is read, and then one
+    # per node of the result, once
     made = Counter()
     for cls in (Node, Leaf):
         init = cls.__init__
@@ -574,14 +577,56 @@ def test_to_omdd_makes_objects_only_for_the_result(monkeypatch):
         order = list(reversed(range(tree.space.m)))
         made.clear()
         omdd = to_omdd(tree, order)
+        assert not made
+        root = omdd.root
+        assert omdd.root is root
         assert made[Node] == omdd.nonterminal_count()
         assert made[Leaf] == len(omdd.nodes) - omdd.nonterminal_count()
         # a node below the root tests a feature that comes earlier in the
         # order than the root's, so the fold had to split
-        splits += any(f is not None and order.index(f) < order.index(tree.root.feature)
+        splits += any(f is not None and order.index(f) < order.index(tree.nodes[-1][0])
                       for f, _ in tree.nodes)
         assert omdd == to_omdd(to_tabular(tree), order)
     assert splits > 30
+
+
+def test_reducer_lists_equal_the_lists_of_their_roots():
+    # the reducer emits what flattening its diagram's root gives: postorder,
+    # edges grouped by child in order of first value; equal hashes, and
+    # pickling rebuilds the same list
+    rng = random.Random(2023)
+    kinds = Counter()
+    for _ in range(120):
+        space = random_space(rng, max_features=6, domain_pool=(2, 3, 4))
+        order = list(range(space.m))
+        rng.shuffle(order)
+        tree = random_dag(rng, space, stop=rng.choice((0.05, 0.15, 0.3)))
+        raw = random_raw_omdd(rng)
+        raw_order = list(raw.order)
+        rng.shuffle(raw_order)
+        for model, by in ((random_table(rng, space), None), (tree, None), (tree, order),
+                          (raw, raw_order)):
+            omdd = to_omdd(model, by)
+            rebuilt = Omdd(omdd.space, omdd.order, omdd.root)
+            assert rebuilt.nodes == omdd.nodes and rebuilt == omdd
+            assert hash(rebuilt) == hash(omdd)
+            copy = pickle.loads(pickle.dumps(omdd))
+            assert copy.nodes == omdd.nodes and hash(copy) == hash(omdd)
+            kinds[type(model).__name__] += 1
+    assert set(kinds) == {"TabularClassifier", "DecisionTree", "Omdd"}
+
+
+def test_mixed_type_feature_subsets_are_input_errors(k1_table):
+    # the message lists the subset without ordering strings against integers
+    from svaudit.adversarial import find_witness
+    from svaudit.explain import is_sufficient
+    problem = ExplanationProblem.of(k1_table, (0, 0, 0))
+    for call in (lambda S: cube_size(k1_table.space, S), lambda S: is_sufficient(problem, S),
+                 lambda S: find_witness(problem, S)):
+        with pytest.raises(InputError, match=r"^feature subset \[1, 'a'\] not within 0\.\.2$"):
+            call({"a", 1})
+        with pytest.raises(InputError, match=r"^feature subset \[-1, 5\] not within 0\.\.2$"):
+            call({5, -1})
 
 
 # name characters that need escapes or lie outside ASCII
@@ -603,7 +648,8 @@ def test_model_to_json_writes_the_bytes_json_dumps_writes():
         rng.shuffle(order)
         for model in (to_tabular(tree), tree, to_omdd(tree, order)):
             text = model_to_json(model)
-            assert text == json.dumps(model_to_dict(model), indent=2) + "\n"
+            assert text == json.dumps(o_model_doc(model), indent=2) + "\n"
+            assert model_to_dict(model) == o_model_doc(model)
             escaped += "\\u" in text
     assert escaped > 100
 
@@ -769,5 +815,5 @@ def test_model_io_resolves_long_chains_without_recursion():
            "classes": [0, 1], "nodes": nodes}
     with pytest.raises(InputError, match="tested twice"):
         model_from_dict(doc)
-    with pytest.raises(InputError, match="does not advance"):
+    with pytest.raises(InputError, match="tested twice"):
         model_from_dict(dict(doc, type="omdd", order=[1]))

@@ -349,15 +349,66 @@ def test_dataset_matches_the_row_by_row_reference(tmp_path):
     from oracle import o_dataset
     path = tmp_path / "rows.csv"
     kinds = Counter()
+    quoted = Counter()
     for seed in range(300):
         _random_csv(random.Random(seed), path)
         expected = _outcome(o_dataset, path)
         assert _outcome(load_consistent_dataset, path) == expected, seed
         kinds[_kind(expected)] += 1
+        quoted['"' in path.read_text(encoding="utf-8")] += 1
     # the seeds reach clean and contradicting files, files with no data row,
     # with a ragged row and with a row that repeats the header
     assert set(kinds) == {"clean", "dropped", "empty", "ragged", "repeat"}, kinds
     assert min(kinds.values()) > 5, kinds
+    # and files read line by line (no quote) as well as record by record
+    assert quoted[True] > 50 and quoted[False] > 50, quoted
+
+
+@pytest.mark.parametrize("data", [
+    # LF, CRLF and lone CR line ends in one file; one row under LF and CRLF,
+    # and a contradicting copy of it under lone CR and CRLF
+    b"x1,x2,y\n0,0,0\r\n0,1,1\r1,0,1\n0,0,0\n1,1,0\r\n0,0,1\r0,0,1\r\n",
+    # a last line with no terminator, after blank lines of each kind
+    b"x1,x2,y\n0,0,0\n\r\n\r \n,,\n0,1,1\n1,1,0",
+    # the header again under another terminator
+    b"x1,y\n0,0\n1,1\r\nx1,y\r\n",
+    b"x1,y\r\n0,0\r\n1,1\nx1,y",
+    # a quote only in the header sends the file down the record path
+    b'"x1",y\n0,0\n1,1\r\n0,1\n',
+    b'x1,"y"\r\n1,0\r\n1,0\r\n0,1',
+])
+def test_dataset_line_ends_and_quotes_match_the_reference(tmp_path, data):
+    from oracle import o_dataset
+    path = tmp_path / "rows.csv"
+    path.write_bytes(data)
+    assert _outcome(load_consistent_dataset, path) == _outcome(o_dataset, path)
+
+
+def test_dataset_nul_byte_reads_alike_on_both_paths(tmp_path):
+    # the csv module rejects a NUL on some Python versions; either way the
+    # line path and the record path agree with each other and the reference
+    from oracle import o_dataset
+    path = tmp_path / "rows.csv"
+    outcomes = []
+    for data in (b"x1,y\n0,0\n1\x00,1\n", b'x1,y\n"0",0\n1\x00,1\n'):
+        path.write_bytes(data)
+        outcomes.append(_outcome(load_consistent_dataset, path))
+        assert outcomes[-1] == _outcome(o_dataset, path)
+    assert outcomes[0] == outcomes[1]
+
+
+def test_dataset_bad_utf8_after_many_rows(tmp_path, capsys):
+    # the byte lies past the first block the file is decoded in
+    from oracle import o_dataset
+    path = tmp_path / "rows.csv"
+    rows = "".join(f"{i % 7},{i % 3},{i % 2}\n" for i in range(20_000)).encode()
+    path.write_bytes(b"x1,x2,y\n" + rows + b"\xff,0,1\n" + rows)
+    outcome = _outcome(load_consistent_dataset, path)
+    assert outcome.startswith(f"InputError: dataset {path} is not UTF-8 text: ")
+    assert outcome == _outcome(o_dataset, path)
+    assert main(["build-omdd", "--data", str(path), "--out", str(tmp_path / "o.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("svaudit: dataset ") and "Traceback" not in err
 
 
 def test_build_omdd_ignores_repeated_rows(tmp_path):
