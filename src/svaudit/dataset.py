@@ -86,6 +86,11 @@ def _raw_rows(path) -> dict:
             rows[row] = rows.get(row, 0) + n
         return rows
     except UnicodeDecodeError as exc:
+        try:  # the reader counts from the block it decoded; the whole file gives the offset
+            with open(path, "rb") as fp:
+                fp.read().decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
         raise InputError(f"dataset {path} is not UTF-8 text: {exc}") from exc
     except csv.Error as exc:
         raise InputError(f"dataset {path} is not readable CSV: {exc}") from exc

@@ -4,36 +4,30 @@ Each family is a table template over a small discrete feature space whose
 binary x1 is the most significant coordinate. Every x1=1 row has class alpha;
 the x1=0 rows, in point order, follow the family's ``block``: entry j gives
 the row the free integer parameter sigma_j, and ``None`` gives it class 0.
-At the family's fixed instance, feature 1 is relevant (indeed necessary) and
-every other feature is irrelevant, as long as alpha differs from the class
-of every x1=0 row. The per-feature Shapley values are linear forms in the
-parameters, so solving "Sv(1)=0, all other Sv nonzero" over the integers
+The fixed instance is each domain's last value. There feature 1 is relevant
+(indeed necessary) and every other feature is irrelevant, as long as alpha
+differs from the class of every x1=0 row.
+
+Sv is linear in the classes, so each Sv(i) at the instance is a linear form
+in (alpha, sigma_1, ..., sigma_k). The forms are not written out: the
+coefficient of a parameter is the Shapley engine's Sv of the 0/1 table that
+is 1 on exactly the rows the parameter fills, computed once per family on
+first use. Solving "Sv(1)=0, all other Sv nonzero" over the integers then
 synthesizes classifiers whose attribution order is provably misleading.
 
-The closed forms below are verified exactly against the numeric engine in
-the test suite.
-
-Families:
-
-====== ======== =============== ==============
-id     features domain sizes    fixed instance
-====== ======== =============== ==============
-``a``  2        (2, 2)          (1, 1)
-``b``  3        (2, 2, 2)       (1, 1, 1)
-``c``  3        (2, 3, 3)       (1, 2, 2)
-``c5`` 3        (2, 2, 3)       (1, 1, 2)
-``d``  4        (2, 2, 2, 3)    (1, 1, 1, 2)
-====== ======== =============== ==============
-
-Family ``a`` names its sigmas (beta, gamma) and puts gamma first. Family ``d``
-has class 0 on its eight x1=0 rows with x4 != 1, so its alpha must not be 0.
+The families are the entries of ``_FAMILIES``. Family ``a`` names its sigmas
+(beta, gamma) and puts gamma first. Family ``d`` has class 0 on its eight
+x1=0 rows with x4 != 1, so its alpha must not be 0.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import InputError, NoSolutionError
 from .explain import relevancy_report
@@ -41,68 +35,40 @@ from .models import ExplanationProblem, FeatureSpace, TabularClassifier, _Frozen
 from .rat import rat_json
 from .shapley import shapley_values
 
-F = Fraction
-
-
-def _sv_a(a, s):
-    b, g = s
-    return (F(a, 2) - F(3 * b + g, 8), F(b - g, 8))
-
-
-def _sv_b(a, s):
-    s1, s2, s3, s4 = s
-    return (F(a, 2) - F(s1 + 2 * s2 + 2 * s3 + 7 * s4, 24),
-            F(-s1 - 2 * s2 + s3 + 2 * s4, 24),
-            F(-s1 + s2 - 2 * s3 + 2 * s4, 24))
-
-
-def _sv_c(a, s):
-    s1, s2, s3, s4, s5, s6, s7, s8, s9 = s
-    return (F(a, 2) - F(2 * s1 + 2 * s2 + 5 * s3 + 2 * s4 + 2 * s5 + 5 * s6
-                        + 5 * s7 + 5 * s8 + 26 * s9, 108),
-            F(-2 * (s1 + s2 + s4 + s5) - 5 * s3 - 5 * s6 + 4 * s7 + 4 * s8 + 10 * s9, 108),
-            F(-2 * (s1 + s2 + s4 + s5) + 4 * s3 + 4 * s6 - 5 * s7 - 5 * s8 + 10 * s9, 108))
-
-
-def _sv_c5(a, s):
-    s1, s2, s3, s4, s5, s6 = s
-    return (F(a, 2) - F(2 * s1 + 2 * s2 + 5 * s3 + 4 * s4 + 4 * s5 + 19 * s6, 72),
-            F(-2 * s1 - 2 * s2 - 5 * s3 + 2 * s4 + 2 * s5 + 5 * s6, 72),
-            F(-s1 - s2 + 2 * s3 - 2 * s4 - 2 * s5 + 4 * s6, 36))
-
-
-def _sv_d(a, s):
-    s1, s2, s3, s4 = s
-    return (F(a, 2) - F(3 * s1 + 5 * s2 + 5 * s3 + 11 * s4, 288),
-            F(-3 * s1 - 5 * s2 + 3 * s3 + 5 * s4, 288),
-            F(-3 * s1 + 3 * s2 - 5 * s3 + 5 * s4, 288),
-            F(-(3 * s1 + 5 * s2 + 5 * s3 + 11 * s4), 288))
-
 
 class _FamilyDef(_Frozen):
-    """One family: its space and fixed instance, the x1=0 row layout
-    ``block`` (a sigma index per row, ``None`` for class 0), the closed form
-    ``sv(alpha, sigmas)`` and the pinned ``paper`` pick (alpha, sigmas)."""
+    """One family: its domain sizes, the x1=0 row layout ``block`` (a sigma
+    index per row, ``None`` for class 0) and the pinned ``paper`` pick
+    (alpha, sigmas)."""
 
-    __slots__ = _fields = ("domain_sizes", "instance", "block", "sv", "paper")
+    __slots__ = _fields = ("domain_sizes", "block", "paper")
 
     @property
     def arity(self) -> int:
         return len(set(self.block) - {None})
 
+    @property
+    def instance(self) -> tuple[int, ...]:
+        return tuple(d - 1 for d in self.domain_sizes)
+
     def block_classes(self, sigmas) -> tuple[int, ...]:
         """Classes of the x1=0 rows, in point order."""
         return tuple(0 if j is None else sigmas[j] for j in self.block)
 
+    def problem(self, alpha, sigmas) -> ExplanationProblem:
+        """The table for these parameters (x1=0 rows, then alpha on every
+        x1=1 row), paired with the fixed instance."""
+        block = self.block_classes(sigmas)
+        table = TabularClassifier(FeatureSpace(self.domain_sizes), block + (alpha,) * len(block))
+        return ExplanationProblem.of(table, self.instance)
+
 
 _FAMILIES = {
-    "a": _FamilyDef((2, 2), (1, 1), (1, 0), _sv_a, (3, (4, 0))),
-    "b": _FamilyDef((2, 2, 2), (1, 1, 1), tuple(range(4)), _sv_b, (1, (0, 3, 3, 0))),
-    "c": _FamilyDef((2, 3, 3), (1, 2, 2), tuple(range(9)), _sv_c,
-                    (1, (0, 2, 0, 0, 5, 0, 0, 8, 0))),
-    "c5": _FamilyDef((2, 2, 3), (1, 1, 2), tuple(range(6)), _sv_c5, (1, (2, 0, 0, 4, 4, 0))),
-    "d": _FamilyDef((2, 2, 2, 3), (1, 1, 1, 2),
-                    (None, 0, None, None, 1, None, None, 2, None, None, 3, None), _sv_d,
+    "a": _FamilyDef((2, 2), (1, 0), (3, (4, 0))),
+    "b": _FamilyDef((2, 2, 2), tuple(range(4)), (1, (0, 3, 3, 0))),
+    "c": _FamilyDef((2, 3, 3), tuple(range(9)), (1, (0, 2, 0, 0, 5, 0, 0, 8, 0))),
+    "c5": _FamilyDef((2, 2, 3), tuple(range(6)), (1, (2, 0, 0, 4, 4, 0))),
+    "d": _FamilyDef((2, 2, 2, 3), (None, 0, None, None, 1, None, None, 2, None, None, 3, None),
                     (1, (5, 2, 4, 9))),
 }
 
@@ -115,6 +81,24 @@ def _family_def(family: str) -> _FamilyDef:
     if key not in _FAMILIES:
         raise InputError(f"unknown family {family!r}; choose one of {', '.join(_FAMILIES)}")
     return _FAMILIES[key]
+
+
+@functools.cache
+def _linear_map(fam: _FamilyDef) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``(den, rows)`` with Sv(i) = sum_p rows[i][p] * params[p] / den at the
+    fixed instance, for params = (alpha, sigma_1, ..., sigma_k). Column p is
+    the engine's Sv of the 0/1 table that is 1 on parameter p's rows."""
+    units = [(int(p == 0), tuple(int(j == p - 1) for j in range(fam.arity)))
+             for p in range(fam.arity + 1)]
+    columns = [shapley_values(fam.problem(*unit)).values for unit in units]
+    den = lcm(*(q.denominator for column in columns for q in column))
+    return den, tuple(tuple(q.numerator * den // q.denominator for q in row)
+                      for row in zip(*columns))
+
+
+def _numerators(fam: _FamilyDef, params) -> list[int]:
+    """Each Sv(i) times the map's denominator."""
+    return [sum(map(mul, row, params)) for row in _linear_map(fam)[1]]
 
 
 class FamilySpec(_Frozen):
@@ -155,33 +139,27 @@ class FamilySpec(_Frozen):
 
 
 def symbolic_sv(family: str, params) -> tuple[Fraction, ...]:
-    """Closed-form Shapley values at the family's fixed instance.
-
-    ``params`` is (alpha, sigma_1, ..., sigma_k); the result agrees exactly
-    with the numeric engine on the instantiated table.
-    """
+    """Shapley values at the family's fixed instance, as the family's linear
+    map applied to ``params`` = (alpha, sigma_1, ..., sigma_k)."""
     fam = _family_def(family)
     params = tuple(params)
     if len(params) != fam.arity + 1:
         raise InputError(
             f"family {family} takes alpha plus {fam.arity} sigmas, got {len(params)} values")
-    return tuple(fam.sv(params[0], params[1:]))
+    den = _linear_map(fam)[0]
+    return tuple(Fraction(n, den) for n in _numerators(fam, params))
 
 
 def instantiate(spec: FamilySpec) -> ExplanationProblem:
     """Concrete table following the family layout, paired with its fixed instance."""
-    fam = _family_def(spec.family)
-    block = fam.block_classes(spec.effective_sigmas)
-    values = block + (spec.effective_alpha,) * len(block)
-    return ExplanationProblem.of(TabularClassifier(FeatureSpace(fam.domain_sizes), values),
-                                 fam.instance)
+    return _family_def(spec.family).problem(spec.effective_alpha, spec.effective_sigmas)
 
 
 def _acceptable(fam, alpha, sigmas) -> bool:
     if alpha in fam.block_classes(sigmas):
         return False
-    sv = fam.sv(alpha, sigmas)
-    return sv[0] == 0 and all(q != 0 for q in sv[1:])
+    first, *rest = _numerators(fam, (alpha, *sigmas))
+    return first == 0 and all(rest)
 
 
 def solve_family(family: str, strategy: str = "paper", seed=None,
@@ -191,10 +169,10 @@ def solve_family(family: str, strategy: str = "paper", seed=None,
     Strategies: ``paper`` returns the pinned reference picks; ``grid``
     scans sigma vectors lexicographically over 0..SIGMA_MAX and keeps the
     first hit (deterministic, seed unused); ``random`` draws seeded uniform
-    sigma vectors. alpha is derived from the family's closed form: Sv(1) is
-    alpha/2 plus a term free of alpha, so the alpha zeroing it is -2 Sv(1)
-    at alpha = 0, and it must come out integral. Exceeding ``budget``
-    candidates raises NoSolutionError.
+    sigma vectors. alpha is derived from the linear map: Sv(1) is a0 alpha
+    plus a term free of alpha (a0 = 1/2, the Sv(1) of ``[x1 = 1]`` at
+    x1 = 1), so the alpha zeroing it must come out integral. Exceeding
+    ``budget`` candidates raises NoSolutionError.
     """
     key = str(family).lower()
     fam = _family_def(key)
@@ -210,14 +188,11 @@ def solve_family(family: str, strategy: str = "paper", seed=None,
     else:
         raise InputError(f"unknown strategy {strategy!r}")
 
-    tried = 0
-    for sigmas in candidates:
-        tried += 1
-        if tried > budget:
-            break
-        alpha = -2 * fam.sv(0, sigmas)[0]
-        if alpha.denominator == 1 and _acceptable(fam, alpha.numerator, sigmas):
-            return FamilySpec(key, alpha.numerator, sigmas, psi=psi)
+    a0, *coefficients = _linear_map(fam)[1][0]
+    for sigmas in itertools.islice(candidates, budget):
+        alpha, rest = divmod(-sum(map(mul, coefficients, sigmas)), a0)
+        if rest == 0 and _acceptable(fam, alpha, sigmas):
+            return FamilySpec(key, alpha, sigmas, psi=psi)
     raise NoSolutionError(
         f"no valid parameters for family {key} within {budget} candidates")
 
@@ -225,15 +200,16 @@ def solve_family(family: str, strategy: str = "paper", seed=None,
 def certificate(spec: FamilySpec) -> dict:
     """Re-derive the synthesized classifier's properties with the real engines.
 
-    Cross-checks the closed forms against the numeric Shapley engine and the
-    enumerated explanations; the emitted JSON records the verified facts.
+    Cross-checks the family's linear map (and so linearity and the row
+    layout) against the Shapley engine on the instantiated table, and
+    enumerates its explanations; the emitted JSON records the verified facts.
     """
     problem = instantiate(spec)
     report = shapley_values(problem)
     symbolic = symbolic_sv(spec.family, spec.params)
     if tuple(report.values) != symbolic:
         raise AssertionError(
-            f"closed form disagrees with the numeric engine for {spec}")
+            f"linear map disagrees with the numeric engine for {spec}")
     relevancy = relevancy_report(problem)
     checked = (report.values[0] == 0
                and all(q != 0 for q in report.values[1:])

@@ -292,6 +292,7 @@ class _DecisionGraph(_Frozen):
         domains = [frozenset(range(d)) for d in self.space.domain_sizes]
         tested = []  # bitmask of the features tested at or beneath each node
         classes = set()
+        members = []  # every edge label's values
         for f, edges in nodes:
             if f is None:
                 classes.add(edges)
@@ -304,6 +305,7 @@ class _DecisionGraph(_Frozen):
                     raise InputError(f"edge label {values!r} is not a frozenset")
                 if not values:
                     raise InputError("empty edge label")
+                members += values
                 if not values <= domains[f]:
                     raise InputError(f"edge label {sorted(values)} outside domain of feature {f + 1}")
                 if values & covered:
@@ -317,6 +319,11 @@ class _DecisionGraph(_Frozen):
             if mask >> f & 1:  # a shared node below escapes the walk's path check
                 raise InputError(f"feature {f + 1} tested twice on one path")
             tested.append(mask | 1 << f)
+        # ``type(x) is int``, as in model files: 1.0 and True pass the domain
+        # check above by equality
+        if set(map(type, members)) - {int}:
+            bad = next(x for x in members if type(x) is not int)
+            raise InputError(f"edge label value {bad!r} is not an integer")
         if len(classes) < 2:
             raise InputError("classifier is constant; at least two classes must occur")
         _set(self, "nodes", tuple(nodes))

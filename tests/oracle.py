@@ -7,6 +7,7 @@ itself, row by row.
 """
 
 import csv
+import io
 import itertools
 from fractions import Fraction
 from math import factorial
@@ -215,10 +216,13 @@ def o_dataset(path):
     strip every cell (the first ragged row, or row equal to the header, is an
     error), code each column from all its cells, then walk the rows in file
     order keeping the first label of each point. Undecodable or malformed
-    text is an input error."""
+    text is an input error; the file is decoded whole, so a bad byte is named
+    by its offset in the file."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fp:
-            table = [row for row in csv.reader(fp) if row and any(cell.strip() for cell in row)]
+        with open(path, "rb") as fp:
+            text = fp.read().decode("utf-8")
+        table = [row for row in csv.reader(io.StringIO(text, newline=""))
+                 if row and any(cell.strip() for cell in row)]
     except UnicodeDecodeError as exc:
         raise InputError(f"dataset {path} is not UTF-8 text: {exc}") from exc
     except csv.Error as exc:

@@ -5,8 +5,9 @@ Criterion 7's stated Shapley golden for the four-feature family,
 (0, 1/9, 7/36, -1/12), contradicts the efficiency identity, so no integer
 classifier on that 24-point feature space can produce it. The criterion
 is resolved to the efficiency-consistent vector (0, 1/9, 1/18, -1/2),
-which the engine, the brute-force oracle and the closed form agree on;
-the stated vector is kept and checked to be unattainable. See README.
+which the engine, the brute-force oracle and the hand-derived form in
+tests/test_families.py agree on; the stated vector is kept and checked to
+be unattainable. See README.
 """
 
 import random

@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from oracle import o_shapley
+from svaudit import families
 from svaudit.errors import InputError, NoSolutionError
 from svaudit.explain import relevancy_report
 from svaudit.families import (
     FAMILY_IDS,
     FamilySpec,
+    _FamilyDef,
     certificate,
     instantiate,
     solve_family,
@@ -20,6 +23,46 @@ from svaudit.shapley import shapley_values
 F = Fraction
 
 ARITY = {"a": 2, "b": 4, "c": 9, "c5": 6, "d": 4}
+
+
+# Hand-derived Shapley forms at each family's fixed instance, an independent
+# reference for the linear maps the module derives from the engine.
+def _sv_a(a, s):
+    b, g = s
+    return (F(a, 2) - F(3 * b + g, 8), F(b - g, 8))
+
+
+def _sv_b(a, s):
+    s1, s2, s3, s4 = s
+    return (F(a, 2) - F(s1 + 2 * s2 + 2 * s3 + 7 * s4, 24),
+            F(-s1 - 2 * s2 + s3 + 2 * s4, 24),
+            F(-s1 + s2 - 2 * s3 + 2 * s4, 24))
+
+
+def _sv_c(a, s):
+    s1, s2, s3, s4, s5, s6, s7, s8, s9 = s
+    return (F(a, 2) - F(2 * s1 + 2 * s2 + 5 * s3 + 2 * s4 + 2 * s5 + 5 * s6
+                        + 5 * s7 + 5 * s8 + 26 * s9, 108),
+            F(-2 * (s1 + s2 + s4 + s5) - 5 * s3 - 5 * s6 + 4 * s7 + 4 * s8 + 10 * s9, 108),
+            F(-2 * (s1 + s2 + s4 + s5) + 4 * s3 + 4 * s6 - 5 * s7 - 5 * s8 + 10 * s9, 108))
+
+
+def _sv_c5(a, s):
+    s1, s2, s3, s4, s5, s6 = s
+    return (F(a, 2) - F(2 * s1 + 2 * s2 + 5 * s3 + 4 * s4 + 4 * s5 + 19 * s6, 72),
+            F(-2 * s1 - 2 * s2 - 5 * s3 + 2 * s4 + 2 * s5 + 5 * s6, 72),
+            F(-s1 - s2 + 2 * s3 - 2 * s4 - 2 * s5 + 4 * s6, 36))
+
+
+def _sv_d(a, s):
+    s1, s2, s3, s4 = s
+    return (F(a, 2) - F(3 * s1 + 5 * s2 + 5 * s3 + 11 * s4, 288),
+            F(-3 * s1 - 5 * s2 + 3 * s3 + 5 * s4, 288),
+            F(-3 * s1 + 3 * s2 - 5 * s3 + 5 * s4, 288),
+            F(-(3 * s1 + 5 * s2 + 5 * s3 + 11 * s4), 288))
+
+
+HAND_FORMS = {"a": _sv_a, "b": _sv_b, "c": _sv_c, "c5": _sv_c5, "d": _sv_d}
 
 
 def test_symbolic_goldens():
@@ -35,6 +78,43 @@ def test_symbolic_golden_four_feature_family():
     # at (alpha; sigma) = (1; 5,2,4,9) the efficiency identity pins these
     # exactly; see also the brute-force cross-check below
     assert symbolic_sv("d", (1, 5, 2, 4, 9)) == (F(0), F(1, 9), F(1, 18), F(-1, 2))
+    assert _sv_d(1, (5, 2, 4, 9)) == (F(0), F(1, 9), F(1, 18), F(-1, 2))
+
+
+def test_linear_maps_equal_the_hand_derived_forms():
+    # 200 seeded parameter vectors per family, alpha and sigmas in -20..20;
+    # symbolic_sv does not apply the relevancy precondition
+    assert set(HAND_FORMS) == set(FAMILY_IDS)
+    rng = random.Random(2310)
+    for family, form in HAND_FORMS.items():
+        for _ in range(200):
+            alpha, *sigmas = (rng.randint(-20, 20) for _ in range(ARITY[family] + 1))
+            assert symbolic_sv(family, (alpha, *sigmas)) == form(alpha, tuple(sigmas))
+
+
+@pytest.mark.parametrize("domain_sizes, block", [
+    ((2, 2, 2, 2), tuple(range(8))),  # one sigma per x1=0 row
+    ((2, 3), (0, None, 1)),           # a class-0 row between two sigmas
+])
+def test_linear_map_of_a_new_layout_matches_the_oracle(monkeypatch, domain_sizes, block):
+    # a family is one table entry: its map needs no hand derivation
+    fam = _FamilyDef(domain_sizes, block, None)
+    assert fam.instance == tuple(d - 1 for d in domain_sizes)
+    monkeypatch.setitem(families._FAMILIES, "new", fam)
+    rng = random.Random(len(block))
+    done = 0
+    while done < 20:
+        alpha, *sigmas = (rng.randint(-20, 20) for _ in range(fam.arity + 1))
+        try:
+            spec = FamilySpec("new", alpha, sigmas)
+        except InputError:
+            continue
+        done += 1
+        problem = instantiate(spec)
+        assert problem.point == fam.instance
+        assert symbolic_sv("new", spec.params) == o_shapley(
+            problem.model.evaluate, domain_sizes, problem.point)
+    assert certificate(solve_family("new", strategy="random", seed=3))["constraints_checked"]
 
 
 def test_symbolic_arity_checked():
@@ -47,7 +127,7 @@ def test_symbolic_arity_checked():
 
 
 def test_symbolic_matches_numeric_engine_everywhere():
-    # the module invariant: closed forms reproduce the engine exactly,
+    # the module invariant: the linear maps reproduce the engine exactly,
     # 100 random integer parameter vectors per family
     rng = random.Random(113)
     for family in FAMILY_IDS:
@@ -140,7 +220,7 @@ SOLVER_PICKS = {
 
 
 def test_solver_picks_are_pinned():
-    # alpha comes from the closed form of Sv(1); the picks must not move
+    # alpha comes from the linear map of Sv(1); the picks must not move
     assert {f for f, _, _ in SOLVER_PICKS} == set(FAMILY_IDS)
     for (family, strategy, seed), (alpha, sigmas) in SOLVER_PICKS.items():
         spec = solve_family(family, strategy=strategy, seed=seed)

@@ -254,6 +254,14 @@ def test_dataset_errors(tmp_path):
     ragged.write_text("a,b,label\n0,0,1\n0,1\n", encoding="utf-8")
     with pytest.raises(InputError, match="^row 3 has 2 cells, expected 3$"):
         load_consistent_dataset(ragged)
+    # a bad byte past the first 64 KiB is named by its offset in the file,
+    # whether the file is read line by line or, holding a quote, record by record
+    for head in (b"x1,y\n", b'"x1",y\n'):
+        text = head + b"0,1\n" * 20_000
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes(text + b"\xff,0\n")
+        with pytest.raises(InputError, match=f"byte 0xff in position {len(text)}: "):
+            load_consistent_dataset(latin1)
 
 
 @pytest.mark.parametrize("text,message", [
