@@ -157,12 +157,29 @@ _SV_METHOD_HELP = (
     "all 2^m coalitions with the point-enumeration|path-counting cube sum")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# the subcommands in the order the full parser lists them
+COMMANDS = ("explain", "shapley", "adversarial", "validate", "scan", "synth", "build-omdd",
+            "convert")
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone, one of
+    ``COMMANDS``; the top-level usage names every command either way."""
     parser = argparse.ArgumentParser(
         prog="svaudit",
         description="Exact Shapley values, formal explanations, relevancy and "
                     "minimal adversarial analysis for discrete classifiers.")
     sub = parser.add_subparsers(dest="command", required=True)
+    if command is not None:
+        sub.metavar = "{%s}" % ",".join(COMMANDS)
+
+    def add(name, fn, **kwargs):
+        """The subparser of ``name``, or None when this parser leaves it out."""
+        if command not in (None, name):
+            return None
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(fn=fn)
+        return p
 
     def with_model_instance(p, methods=None, default=None, method_help=None):
         p.add_argument("--model", required=True, help="model file (JSON)")
@@ -171,64 +188,59 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--method", choices=methods, default=default, help=method_help)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
-    p = sub.add_parser("explain", help="abductive/contrastive explanations and relevancy")
-    with_model_instance(p, methods=("duality", "brute"), default="duality")
-    p.set_defaults(fn=_cmd_explain)
+    if p := add("explain", _cmd_explain,
+                help="abductive/contrastive explanations and relevancy"):
+        with_model_instance(p, methods=("duality", "brute"), default="duality")
 
-    p = sub.add_parser("shapley", help="exact Shapley values with efficiency residual")
-    with_model_instance(p, methods=("auto", "brute", "paths"), default="auto",
-                        method_help=_SV_METHOD_HELP)
-    p.set_defaults(fn=_cmd_shapley)
+    if p := add("shapley", _cmd_shapley, help="exact Shapley values with efficiency residual"):
+        with_model_instance(p, methods=("auto", "brute", "paths"), default="auto",
+                            method_help=_SV_METHOD_HELP)
 
-    p = sub.add_parser("adversarial", help="minimal l0 adversarial change-sets")
-    with_model_instance(p)
-    p.set_defaults(fn=_cmd_adversarial)
+    if p := add("adversarial", _cmd_adversarial, help="minimal l0 adversarial change-sets"):
+        with_model_instance(p)
 
-    p = sub.add_parser("validate", help="check the efficiency identity on an instance")
-    with_model_instance(p, methods=("auto", "brute", "paths"), default="auto",
-                        method_help=_SV_METHOD_HELP)
-    p.set_defaults(fn=_cmd_validate)
+    if p := add("validate", _cmd_validate, help="check the efficiency identity on an instance"):
+        with_model_instance(p, methods=("auto", "brute", "paths"), default="auto",
+                            method_help=_SV_METHOD_HELP)
 
-    p = sub.add_parser("scan", help="issue scan over feature space")
-    p.add_argument("--model", required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--all", action="store_true", help="scan every point (default)")
-    group.add_argument("--sample", type=int, default=None, metavar="N",
-                       help="scan a seeded sample of N points")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", default=None, help="records CSV path (default: stdout)")
-    p.set_defaults(fn=_cmd_scan)
+    if p := add("scan", _cmd_scan, help="issue scan over feature space"):
+        p.add_argument("--model", required=True)
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--all", action="store_true", help="scan every point (default)")
+        group.add_argument("--sample", type=int, default=None, metavar="N",
+                           help="scan a seeded sample of N points")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--out", default=None, help="records CSV path (default: stdout)")
 
-    p = sub.add_parser("synth", help="synthesize a misattribution counterexample classifier")
-    p.add_argument("--family", required=True, choices=FAMILY_IDS)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--paper", action="store_true",
-                       help="use the pinned reference parameters (default)")
-    group.add_argument("--solve", action="store_true",
-                       help="search for parameters (grid; seeded random with --seed)")
-    p.add_argument("--budget", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--psi", type=int, default=1, help="integer scale factor")
-    p.add_argument("--out", default=None, help="model file path (default: stdout)")
-    p.add_argument("--cert", default=None, help="also write a certificate JSON here")
-    p.set_defaults(fn=_cmd_synth)
+    if p := add("synth", _cmd_synth,
+                help="synthesize a misattribution counterexample classifier"):
+        p.add_argument("--family", required=True, choices=FAMILY_IDS)
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--paper", action="store_true",
+                           help="use the pinned reference parameters (default)")
+        group.add_argument("--solve", action="store_true",
+                           help="search for parameters (grid; seeded random with --seed)")
+        p.add_argument("--budget", type=int, default=100000)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--psi", type=int, default=1, help="integer scale factor")
+        p.add_argument("--out", default=None, help="model file path (default: stdout)")
+        p.add_argument("--cert", default=None, help="also write a certificate JSON here")
 
-    p = sub.add_parser("build-omdd", help="build a diagram from a consistent dataset")
-    p.add_argument("--data", required=True, help="CSV dataset, last column = class")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_build_omdd)
+    if p := add("build-omdd", _cmd_build_omdd,
+                help="build a diagram from a consistent dataset"):
+        p.add_argument("--data", required=True, help="CSV dataset, last column = class")
+        p.add_argument("--out", default=None)
 
-    p = sub.add_parser(
-        "convert", help="convert between representations",
-        description="Write the model as a complete table, or as its reduced OMDD. A table "
-                    "becomes an OMDD by collapsing its axes; a tree or a diagram by one "
-                    "pass over its nodes, without building the table.")
-    p.add_argument("--model", required=True)
-    p.add_argument("--to", required=True, choices=("table", "omdd"))
-    p.add_argument("--order", default=None, help="OMDD variable order, e.g. 1,3,2")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_convert)
+    if p := add(
+            "convert", _cmd_convert, help="convert between representations",
+            description="Write the model as a complete table, or as its reduced OMDD. A table "
+                        "becomes an OMDD by collapsing its axes; a tree or a diagram by one "
+                        "pass over its nodes, without building the table."):
+        p.add_argument("--model", required=True)
+        p.add_argument("--to", required=True, choices=("table", "omdd"))
+        p.add_argument("--order", default=None, help="OMDD variable order, e.g. 1,3,2")
+        p.add_argument("--out", default=None)
 
     return parser
 
@@ -238,7 +250,9 @@ def main(argv=None) -> int:
     if argv is not None and any("\0" in str(arg) for arg in argv):
         print("svaudit: arguments cannot contain a NUL character", file=sys.stderr)
         return 2
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a named command needs only its own subparser
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

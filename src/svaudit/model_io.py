@@ -20,10 +20,11 @@ Layout (integers only, bit-exact):
 Integers are checked with ``type(x) is int``: JSON ``true``/``false`` load as
 ``bool``, a subclass of ``int``, and are rejected. Feature indices in files
 are 1-based. The loader checks what only the document shows (entry shapes,
-integer types, node ids) on every entry and links every entry's edges, not
-only those the root reaches; the model's construction checks the graph
-once, cycles included. Loaded OMDDs go through ``reduce_omdd``, which keeps a
-reduced diagram as it is, so the in-memory diagram is always reduced.
+integer types, node ids) on every entry and resolves every edge target, not
+only those the root reaches; the walk that flattens ``Node`` objects lists
+the entries by id, making none, and the model checks the list once, cycles
+included. Loaded OMDDs go through ``reduce_omdd``, which keeps a reduced
+diagram as it is, so the in-memory diagram is always reduced.
 """
 
 from __future__ import annotations
@@ -36,10 +37,9 @@ from .models import (
     Classifier,
     DecisionTree,
     FeatureSpace,
-    Leaf,
-    Node,
     Omdd,
     TabularClassifier,
+    _flatten,
     reduce_omdd,
 )
 
@@ -151,13 +151,13 @@ def model_from_dict(doc) -> Classifier:
     if kind == "table":
         model = _table_from_doc(doc, space)
     elif kind == "dt":
-        model = DecisionTree(space, _graph_from_doc(doc, space))
+        model = DecisionTree._of(space, _graph_from_doc(doc, space))
     elif kind == "omdd":
         order = doc.get("order")
         if not isinstance(order, list) or not all(type(f) is int for f in order):
             raise InputError('omdd model needs an integer "order" list')
-        root = _graph_from_doc(doc, space)
-        model = reduce_omdd(Omdd(space, tuple(f - 1 for f in order), root))
+        nodes = _graph_from_doc(doc, space)
+        model = reduce_omdd(Omdd._of(space, tuple(f - 1 for f in order), nodes))
     else:
         raise InputError(f"unknown model type {kind!r}")
     _check_classes(doc, model.class_values())
@@ -185,43 +185,40 @@ def _table_from_doc(doc, space) -> TabularClassifier:
     return TabularClassifier(space, tuple(values))
 
 
-def _graph_from_doc(doc, space):
-    """The root of the graph, after one object per entry is made in list
-    order and then the edges of every entry are linked. An entry the root
-    does not reach is checked like any other, then ignored. A cycle is left
-    to the model's construction walk, which rejects it within m levels as a
-    feature tested twice on one path."""
+def _graph_from_doc(doc, space) -> list:
+    """The node list of the graph whose root is the first entry. Every entry
+    is checked and every edge target resolved, whether the root reaches it or
+    not; then the walk that flattens ``Node`` objects walks the entries by
+    id. An entry the root does not reach is ignored. A cycle ends that walk
+    within m levels as a feature tested twice on one path."""
     entries = doc.get("nodes")
     if not isinstance(entries, list) or not entries:
         raise InputError('model needs a nonempty "nodes" list')
-    built = {}
-    unlinked = []  # (node, its checked (values, target id) pairs)
+    parts = {}  # id -> (feature, [(values, target id), ...]) or (None, class)
     for k, e in enumerate(entries):
         if not isinstance(e, dict) or "id" not in e:
             raise InputError(f"malformed node entry {e!r}")
         nid = e["id"]
         if type(nid) not in (int, str):
             raise InputError(f"node entry {k} has id {nid!r}; ids must be integers or strings")
-        if nid in built:
+        if nid in parts:
             raise InputError(f"duplicate node id {nid}")
         if "class" in e:
             if type(e["class"]) is not int:
                 raise InputError("leaf classes must be integers")
-            built[nid] = Leaf(e["class"])
+            parts[nid] = (None, e["class"])
         else:
-            edges = _edges_of_entry(e, nid, space)
-            built[nid] = node = Node(e["feature"] - 1, ())
-            unlinked.append((node, edges))
-    for node, edges in unlinked:
-        for _, to in edges:
-            if to not in built:
+            parts[nid] = _parts_of_entry(e, nid, space)
+    for f, edges in parts.values():
+        for _, to in () if f is None else edges:
+            if to not in parts:
                 raise InputError(f"edge points to unknown node {to}")
-        object.__setattr__(node, "edges", tuple([(values, built[to]) for values, to in edges]))
-    return built[entries[0]["id"]]
+    return _flatten(entries[0]["id"], parts.__getitem__, key=lambda nid: nid)
 
 
-def _edges_of_entry(e, nid, space) -> list:
-    """Checked ``(values, target id)`` pairs of an internal node entry."""
+def _parts_of_entry(e, nid, space) -> tuple:
+    """The 0-based feature and the checked ``(values, target id)`` pairs of
+    an internal node entry."""
     if "feature" not in e or not isinstance(e.get("edges"), list):
         raise InputError(f"node {nid} needs a feature and an edge list")
     f = e["feature"]
@@ -238,4 +235,4 @@ def _edges_of_entry(e, nid, space) -> list:
             raise InputError(
                 f"edge on node {nid} points to {edge['to']!r}; ids must be integers or strings")
         edges.append((frozenset(values), edge["to"]))
-    return edges
+    return f - 1, edges

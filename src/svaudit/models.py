@@ -12,8 +12,8 @@ Trees and diagrams share one read-once graph core: a graph is its checked
 node list, the distinct nodes children first, and each computation is one
 pass over it (the counterexample search visits each node at most once), so
 every cost follows the node count, not the path count. ``Node`` and
-``Leaf`` objects are a view: a graph built from them flattens them into
-its list, and ``root`` makes them from the list on first read.
+``Leaf`` objects are a view: they, or a model file's entries (making none),
+go through one walk into the list, and ``root`` makes them on first read.
 
 One reducer builds every OMDD: a unique table over integer ids (Bryant,
 1986), where a node is keyed by its feature and its child's id for each
@@ -269,14 +269,31 @@ class _DecisionGraph(_Frozen):
     internal node, ``(None, class_value)`` for a leaf. Lookups and every
     per-node pass (cube sums, counterexamples, Shapley, serialization) read
     that list, so a shared node is visited once. The constructor flattens
-    ``root`` and the reducer hands its list over (``_of``); one check of the
-    list follows. ``root`` is a view made on first read; no query walks it."""
+    ``root``; the loader and the reducer hand their lists over (``_of``). One
+    check follows. ``root`` is a view made on first read; no query walks it."""
 
     __slots__ = ("nodes", "classes")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._check(_flatten(self.root, self.space.m))
+        self._check(_flatten(self.root, self._parts))
+
+    def _parts(self, node):
+        """``_flatten``'s parts of a ``Node`` or ``Leaf``, checked where only
+        objects need it: the feature in range, the class and every value of a
+        frozenset label ints (1.0 and True pass ``_check``'s domain test)."""
+        if isinstance(node, Node):
+            f = node.feature
+            if not 0 <= f < self.space.m:
+                raise InputError(f"node tests unknown feature {f}")
+            bad = [x for values, _ in node.edges if type(values) is frozenset
+                   for x in values if type(x) is not int]
+            if bad:
+                raise InputError(f"edge label value {bad[0]!r} is not an integer")
+            return f, node.edges
+        if isinstance(node, Leaf):
+            return None, _class_value(node.class_value)
+        raise InputError(f"unexpected node object {node!r}")
 
     @classmethod
     def _of(cls, *args):
@@ -292,7 +309,6 @@ class _DecisionGraph(_Frozen):
         domains = [frozenset(range(d)) for d in self.space.domain_sizes]
         tested = []  # bitmask of the features tested at or beneath each node
         classes = set()
-        members = []  # every edge label's values
         for f, edges in nodes:
             if f is None:
                 classes.add(edges)
@@ -305,7 +321,6 @@ class _DecisionGraph(_Frozen):
                     raise InputError(f"edge label {values!r} is not a frozenset")
                 if not values:
                     raise InputError("empty edge label")
-                members += values
                 if not values <= domains[f]:
                     raise InputError(f"edge label {sorted(values)} outside domain of feature {f + 1}")
                 if values & covered:
@@ -319,11 +334,6 @@ class _DecisionGraph(_Frozen):
             if mask >> f & 1:  # a shared node below escapes the walk's path check
                 raise InputError(f"feature {f + 1} tested twice on one path")
             tested.append(mask | 1 << f)
-        # ``type(x) is int``, as in model files: 1.0 and True pass the domain
-        # check above by equality
-        if set(map(type, members)) - {int}:
-            bad = next(x for x in members if type(x) is not int)
-            raise InputError(f"edge label value {bad!r} is not an integer")
         if len(classes) < 2:
             raise InputError("classifier is constant; at least two classes must occur")
         _set(self, "nodes", tuple(nodes))
@@ -408,33 +418,26 @@ def _rank(order, m) -> list[int]:
     return rank
 
 
-def _flatten(root, m) -> list:
+def _flatten(root, parts, key=id) -> list:
     """The node list of the graph below ``root``: its distinct nodes in
-    postorder, edges in stored order. ``used`` holds the features tested on
-    the path down, so a cycle ends within m levels as a feature tested twice."""
-    post = {}  # id -> position in the list
+    postorder, edges in stored order. ``parts(node)`` is a node's ``(feature,
+    ((values, child), ...))`` or a leaf's ``(None, class)``; ``key(node)``
+    tells ``Node`` objects apart by identity, file entries by id. ``used``
+    holds the features tested on the path down, so a cycle ends within m
+    levels as a feature tested twice."""
+    post = {}  # key -> position in the list
     nodes = []
 
     def visit(node, used):
-        if isinstance(node, Node):
-            f = node.feature
-            if not 0 <= f < m:
-                raise InputError(f"node tests unknown feature {f}")
-            if used >> f & 1:
-                raise InputError(f"feature {f + 1} tested twice on one path")
-        k = post.get(id(node))
+        k = post.get(key(node))
+        f, edges = parts(node) if k is None else nodes[k]
+        if f is not None and used >> f & 1:
+            raise InputError(f"feature {f + 1} tested twice on one path")
         if k is None:
-            if isinstance(node, Node):
-                edges = []
-                for values, child in node.edges:
-                    edges.append((values, visit(child, used | 1 << f)))
-                entry = (f, tuple(edges))
-            elif isinstance(node, Leaf):
-                entry = (None, _class_value(node.class_value))
-            else:
-                raise InputError(f"unexpected node object {node!r}")
-            k = post[id(node)] = len(nodes)
-            nodes.append(entry)
+            if f is not None:
+                edges = tuple([(values, visit(child, used | 1 << f)) for values, child in edges])
+            k = post[key(node)] = len(nodes)
+            nodes.append((f, edges))
         return k
 
     visit(root, 0)

@@ -142,6 +142,13 @@ def test_positional_and_keyword_construction_agree_with_defaults():
     (lambda: Omdd(FeatureSpace((2,)), (0,), Node(0, ((frozenset({True}), Leaf(0)),
                                                      (frozenset({0}), Leaf(1))))),
      "^edge label value True is not an integer$"),
+    # value types are checked before a message sorts a label: mixed types do not compare
+    (lambda: DecisionTree(FeatureSpace((2,)), Node(0, ((frozenset({"a", 1}), Leaf(0)),
+                                                       (frozenset({0}), Leaf(1))))),
+     "^edge label value 'a' is not an integer$"),
+    (lambda: DecisionTree(FeatureSpace((2,)), Node(0, ((frozenset({None, 0}), Leaf(0)),
+                                                       (frozenset({0}), Leaf(1))))),
+     "^edge label value None is not an integer$"),
 ])
 def test_construction_keeps_its_checks(make, message):
     with pytest.raises((SvauditError, TypeError), match=message):

@@ -1,5 +1,6 @@
 """The command surface: artifacts, exit codes, API/CLI byte equality."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -193,6 +194,41 @@ def test_exit_codes(capsys, k1_path, tmp_path):
     # argparse-level misuse
     assert run(capsys, "synth", "--family", "zzz")[0] == 2
     assert run(capsys, "frobnicate")[0] == 2
+
+
+PARSED_ARGVS = [  # (argument list, exit code); "MISSING" names a file that does not exist
+    ([], 2), (["-h"], 0), (["bogus"], 2), (["explain"], 2), (["explain", "-h"], 0),
+    (["explain", "--model", "x", "--instance", "1", "--bogus"], 2),
+    (["scan", "--model", "x", "--all", "--sample", "3"], 2), (["synth", "--family", "z"], 2),
+    (["convert", "--model", "x", "--to", "x"], 2),
+    (["explain", "--model", "MISSING", "--instance", "1"], 1),
+]
+
+
+@pytest.mark.parametrize("argv,status", PARSED_ARGVS,
+                         ids=[" ".join(argv) or "no arguments" for argv, _ in PARSED_ARGVS])
+def test_one_command_parser_answers_as_the_full_parser(capsys, monkeypatch, tmp_path, argv,
+                                                       status):
+    # a named command builds only its subparser; usage, help and errors stay those
+    # of the parser that holds every command
+    argv = [str(tmp_path / "missing.json") if arg == "MISSING" else arg for arg in argv]
+    answer = run(capsys, *argv)
+    assert answer[0] == status
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert run(capsys, *argv) == answer
+
+
+def test_a_named_command_builds_only_its_subparser(capsys, monkeypatch, k1_path):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: built.append(name) or add_parser(self, name, **kw))
+    assert run(capsys, "explain", "--model", k1_path, "--instance", "1,0,0")[0] == 0
+    assert built == ["explain"]
+    built.clear()
+    assert run(capsys, "bogus")[0] == 2
+    assert built == list(cli.COMMANDS)  # the full parser, every command in listed order
 
 
 def test_nul_in_an_argument_is_a_usage_error(capsys, tmp_path, k1_path):

@@ -817,3 +817,64 @@ def test_model_io_resolves_long_chains_without_recursion():
         model_from_dict(doc)
     with pytest.raises(InputError, match="tested twice"):
         model_from_dict(dict(doc, type="omdd", order=[1]))
+
+
+def test_load_model_makes_no_node_objects(monkeypatch, tmp_path):
+    # a file's entries go from the document straight to the node list
+    made = Counter()
+    for cls in (Node, Leaf):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, _init=init, _cls=cls:
+                            made.update((_cls,)) or _init(self, *a))
+    tree = k_of_n_tree(8, 4)
+    omdd = to_omdd(tree, list(reversed(range(8))))
+    for model, name in ((tree, "kofn.dt.json"), (omdd, "kofn.omdd.json")):
+        save_model(model, tmp_path / name)
+        made.clear()
+        loaded = load_model(tmp_path / name)
+        assert not made
+        assert model_to_json(loaded) == model_to_json(model)
+
+
+def _shuffled_doc(rng, model):
+    """``model``'s document with its entries out of postorder (the root still
+    first), edges in stored order, mixed integer and string ids, each label's
+    values shuffled, and one well-formed entry the root does not reach."""
+    nodes = model.nodes
+    ids = [k if rng.random() < 0.5 else f"n{k}" for k in range(len(nodes))]
+    entries = []
+    for k, (f, edges) in enumerate(nodes):
+        if f is None:
+            entries.append({"id": ids[k], "class": edges})
+        else:
+            entries.append({"id": ids[k], "feature": f + 1, "edges": [
+                {"values": rng.sample(sorted(values), len(values)), "to": ids[c]}
+                for values, c in edges]})
+    f, edges = nodes[-1]
+    entries.append({"id": "spare", "feature": f + 1,
+                    "edges": [{"values": sorted(values), "to": ids[c]} for values, c in edges]})
+    rest = entries[:-2] + entries[-1:]
+    rng.shuffle(rest)
+    doc = {"type": "dt" if isinstance(model, DecisionTree) else "omdd",
+           "features": [{"name": f"x{i + 1}", "domain": d}
+                        for i, d in enumerate(model.space.domain_sizes)],
+           "classes": sorted(model.class_values()), "nodes": [entries[-2], *rest]}
+    if isinstance(model, Omdd):
+        doc["order"] = [f + 1 for f in model.order]
+    return json.loads(json.dumps(doc))
+
+
+def test_file_entries_and_node_objects_flatten_alike():
+    # the walk over a file's ids lists what the walk over the objects lists
+    rng = random.Random(2707)
+    shared = 0
+    for _ in range(100):
+        space = random_space(rng, max_features=6, domain_pool=(2, 3, 4))
+        tree = random_dag(rng, space, stop=0.15, partition=uneven_partition)
+        parents = Counter(c for f, edges in tree.nodes if f is not None for _, c in edges)
+        shared += max(parents.values()) > 1
+        assert model_from_dict(_shuffled_doc(rng, tree)).nodes == tree.nodes
+    for _ in range(100):
+        omdd = random_raw_omdd(rng)
+        assert model_from_dict(_shuffled_doc(rng, omdd)).nodes == reduce_omdd(omdd).nodes
+    assert shared > 50  # trees with a node that several edges reach
