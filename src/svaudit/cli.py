@@ -113,6 +113,8 @@ def _cmd_scan(args) -> None:
 
 def _cmd_synth(args) -> None:
     from .families import certificate, instantiate, solve_family
+    if args.budget < 0:
+        raise UsageError("--budget needs a non-negative count")
     strategy = "grid" if args.solve else "paper"
     if args.solve and args.seed is not None:
         strategy = "random"

@@ -172,10 +172,12 @@ def solve_family(family: str, strategy: str = "paper", seed=None,
     sigma vectors. alpha is derived from the linear map: Sv(1) is a0 alpha
     plus a term free of alpha (a0 = 1/2, the Sv(1) of ``[x1 = 1]`` at
     x1 = 1), so the alpha zeroing it must come out integral. Exceeding
-    ``budget`` candidates raises NoSolutionError.
+    ``budget`` candidates, a non-negative int, raises NoSolutionError.
     """
     key = str(family).lower()
     fam = _family_def(key)
+    if type(budget) is not int or budget < 0:
+        raise InputError(f"budget {budget!r} is not a non-negative integer")
     if strategy == "paper":
         alpha, sigmas = fam.paper
         return FamilySpec(key, alpha, sigmas, psi=psi)

@@ -21,14 +21,15 @@ Integers are checked with ``type(x) is int``: JSON ``true``/``false`` load as
 ``bool``, a subclass of ``int``, and are rejected. Feature indices in files
 are 1-based. The loader checks what only the document shows (entry shapes,
 integer types, node ids) on every entry and resolves every edge target, not
-only those the root reaches; the walk that flattens ``Node`` objects lists
-the entries by id, making none, and the model checks the list once, cycles
-included. Loaded OMDDs go through ``reduce_omdd``, which keeps a reduced
-diagram as it is, so the in-memory diagram is always reduced.
+only those the root reaches; the walk that checks and flattens ``Node``
+objects checks labels, paths and order once, cycles included, and lists the
+entries by id, making none. Loaded OMDDs go through ``reduce_omdd``, which
+keeps a reduced diagram as it is, so the in-memory diagram is always reduced.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from json.encoder import encode_basestring_ascii
 
@@ -39,7 +40,9 @@ from .models import (
     FeatureSpace,
     Omdd,
     TabularClassifier,
+    _by_child,
     _flatten,
+    _rank,
     reduce_omdd,
 )
 
@@ -67,7 +70,8 @@ def save_model(model: Classifier, path) -> None:
 def model_to_json(model: Classifier) -> str:
     """The model's document as ``json.dumps(doc, indent=2)`` writes it, and a
     newline, straight from a table's values or a graph's node list; graph
-    entries are numbered in preorder from the root, edges by smallest value."""
+    entries are numbered in preorder from the root, each node's values grouped
+    by child in order of smallest value, one rendering per distinct label."""
     space = model.space
     features = [_FEATURE % (encode_basestring_ascii(name), d)
                 for name, d in zip(space.feature_names, space.domain_sizes)]
@@ -78,8 +82,7 @@ def model_to_json(model: Classifier) -> str:
     if not isinstance(model, (DecisionTree, Omdd)):
         raise InputError(f"cannot serialize {type(model).__name__}")
     nodes = model.nodes
-    labels = {vs: (min(vs), _list(map(int.__repr__, sorted(vs)), "          "))  # sort key, text
-              for vs in {vs for f, edges in nodes if f is not None for vs, _ in edges}}
+    label = functools.cache(lambda values: _list(map(int.__repr__, values), "          "))
     ids = {}  # position in ``nodes`` -> preorder id
     entries = []
 
@@ -87,11 +90,11 @@ def model_to_json(model: Classifier) -> str:
         if k not in ids:
             nid = ids[k] = len(entries)
             entries.append(None)
-            f, edges = nodes[k]
+            f, body = nodes[k]
             if f is not None:
-                edges = sorted([(*labels[values], c) for values, c in edges])
-                edges = _list([_EDGE % (text, visit(c)) for _, text, c in edges], "      ")
-            entries[nid] = _LEAF % (nid, edges) if f is None else _NODE % (nid, f + 1, edges)
+                body = _list([_EDGE % (label(values), visit(c)) for c, values in _by_child(body)],
+                             "      ")
+            entries[nid] = _LEAF % (nid, body) if f is None else _NODE % (nid, f + 1, body)
         return ids[k]
 
     visit(len(nodes) - 1)
@@ -156,8 +159,9 @@ def model_from_dict(doc) -> Classifier:
         order = doc.get("order")
         if not isinstance(order, list) or not all(type(f) is int for f in order):
             raise InputError('omdd model needs an integer "order" list')
-        nodes = _graph_from_doc(doc, space)
-        model = reduce_omdd(Omdd._of(space, tuple(f - 1 for f in order), nodes))
+        order = tuple(f - 1 for f in order)
+        nodes = _graph_from_doc(doc, space, _rank(order, space.m))
+        model = reduce_omdd(Omdd._of(space, order, nodes))
     else:
         raise InputError(f"unknown model type {kind!r}")
     _check_classes(doc, model.class_values())
@@ -185,12 +189,12 @@ def _table_from_doc(doc, space) -> TabularClassifier:
     return TabularClassifier(space, tuple(values))
 
 
-def _graph_from_doc(doc, space) -> list:
+def _graph_from_doc(doc, space, rank=None) -> list:
     """The node list of the graph whose root is the first entry. Every entry
     is checked and every edge target resolved, whether the root reaches it or
-    not; then the walk that flattens ``Node`` objects walks the entries by
-    id. An entry the root does not reach is ignored. A cycle ends that walk
-    within m levels as a feature tested twice on one path."""
+    not; then the walk that checks ``Node`` objects (under ``rank`` for a
+    diagram) walks the entries by id, and ignores an entry the root does not
+    reach. A cycle ends that walk within m levels as a feature tested twice."""
     entries = doc.get("nodes")
     if not isinstance(entries, list) or not entries:
         raise InputError('model needs a nonempty "nodes" list')
@@ -213,7 +217,7 @@ def _graph_from_doc(doc, space) -> list:
         for _, to in () if f is None else edges:
             if to not in parts:
                 raise InputError(f"edge points to unknown node {to}")
-    return _flatten(entries[0]["id"], parts.__getitem__, key=lambda nid: nid)
+    return _flatten(entries[0]["id"], parts.__getitem__, space.domain_sizes, rank, lambda i: i)
 
 
 def _parts_of_entry(e, nid, space) -> tuple:

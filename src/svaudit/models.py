@@ -8,12 +8,13 @@ Three total-function representations over a common discrete feature space:
 * ``Omdd`` -- ordered multi-valued decision diagram: a decision graph whose
   paths test features in one variable order.
 
-Trees and diagrams share one read-once graph core: a graph is its checked
-node list, the distinct nodes children first, and each computation is one
-pass over it (the counterexample search visits each node at most once), so
-every cost follows the node count, not the path count. ``Node`` and
-``Leaf`` objects are a view: they, or a model file's entries (making none),
-go through one walk into the list, and ``root`` makes them on first read.
+Trees and diagrams share one read-once graph core: a graph is its node
+list, the distinct nodes children first, each holding its child per value,
+and each computation is one pass over it (the counterexample search visits
+each node at most once), so every cost follows the node count, not the path
+count. Edge labels exist only where graphs enter and leave: ``Node`` and
+``Leaf`` objects, or a model file's entries (making none), go through one
+checking walk into the list, and ``root`` and the writer group values by child.
 
 One reducer builds every OMDD: a unique table over integer ids (Bryant,
 1986), where a node is keyed by its feature and its child's id for each
@@ -265,27 +266,30 @@ class _DecisionGraph(_Frozen):
     """Read-once decision graph: the core of ``DecisionTree`` and ``Omdd``.
 
     A graph is its node list ``nodes``, the distinct nodes children first
-    (the root last): ``(feature, ((values, child position), ...))`` for an
-    internal node, ``(None, class_value)`` for a leaf. Lookups and every
-    per-node pass (cube sums, counterexamples, Shapley, serialization) read
-    that list, so a shared node is visited once. The constructor flattens
-    ``root``; the loader and the reducer hand their lists over (``_of``). One
-    check follows. ``root`` is a view made on first read; no query walks it."""
+    (the root last): ``(feature, kids)``, ``kids[x]`` the position of the
+    child value x leads to, or ``(None, class_value)`` for a leaf. Lookups
+    and every per-node pass index that list, so a shared node is visited
+    once. The constructor and the loader make it in ``_flatten``'s checking
+    walk; the reducer's lists are stored as they come (``_of``). ``root`` is
+    a view made on first read; no query walks it."""
 
     __slots__ = ("nodes", "classes")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._check(_flatten(self.root, self._parts))
+        self._store(_flatten(self.root, self._parts, self.space.domain_sizes, self._ranks()))
+
+    def _ranks(self):
+        return None  # no order; an Omdd's is the position of each feature in it
 
     def _parts(self, node):
-        """``_flatten``'s parts of a ``Node`` or ``Leaf``, checked where only
-        objects need it: the feature in range, the class and every value of a
-        frozenset label ints (1.0 and True pass ``_check``'s domain test)."""
+        """``_flatten``'s parts of a ``Node`` or ``Leaf``, with the types the
+        loader checks in a file: an int feature in range, an int class, and int
+        values in every frozenset label (1.0 and True pass the domain test)."""
         if isinstance(node, Node):
             f = node.feature
-            if not 0 <= f < self.space.m:
-                raise InputError(f"node tests unknown feature {f}")
+            if type(f) is not int or not 0 <= f < self.space.m:
+                raise InputError(f"node tests unknown feature {f!r}")
             bad = [x for values, _ in node.edges if type(values) is frozenset
                    for x in values if type(x) is not int]
             if bad:
@@ -297,53 +301,25 @@ class _DecisionGraph(_Frozen):
 
     @classmethod
     def _of(cls, *args):
-        """The graph of ``args``: its fields, with the node list in place of ``root``."""
+        """The graph of ``args``: its fields, with a checked node list in place of ``root``."""
         self = object.__new__(cls)
         vars(self).update(zip(cls._fields, args[:-1]))
-        self._check(args[-1])
+        self._store(args[-1])
         return self
 
-    def _check(self, nodes, rank=None):
-        """Check a node list and store it and ``classes``. Under ``rank``, the
-        order position of each feature, every edge must move to a later one."""
-        domains = [frozenset(range(d)) for d in self.space.domain_sizes]
-        tested = []  # bitmask of the features tested at or beneath each node
-        classes = set()
-        for f, edges in nodes:
-            if f is None:
-                classes.add(edges)
-                tested.append(0)
-                continue
-            covered = set()
-            mask = 0
-            for values, c in edges:
-                if type(values) is not frozenset:
-                    raise InputError(f"edge label {values!r} is not a frozenset")
-                if not values:
-                    raise InputError("empty edge label")
-                if not values <= domains[f]:
-                    raise InputError(f"edge label {sorted(values)} outside domain of feature {f + 1}")
-                if values & covered:
-                    raise InputError(f"overlapping edge labels at feature {f + 1}")
-                covered |= values
-                mask |= tested[c]
-                if rank is not None and nodes[c][0] is not None and rank[nodes[c][0]] <= rank[f]:
-                    raise InputError("edge does not advance in the variable order")
-            if covered != domains[f]:
-                raise InputError(f"edges of feature {f + 1} do not cover its domain")
-            if mask >> f & 1:  # a shared node below escapes the walk's path check
-                raise InputError(f"feature {f + 1} tested twice on one path")
-            tested.append(mask | 1 << f)
+    def _store(self, nodes):
+        classes = frozenset(c for f, c in nodes if f is None)
         if len(classes) < 2:
             raise InputError("classifier is constant; at least two classes must occur")
         _set(self, "nodes", tuple(nodes))
-        _set(self, "classes", frozenset(classes))
+        _set(self, "classes", classes)
 
     @functools.cached_property
     def root(self):
         made = []
-        for f, es in self.nodes:
-            made.append(Leaf(es) if f is None else Node(f, tuple([(vs, made[c]) for vs, c in es])))
+        for f, kids in self.nodes:
+            made.append(Leaf(kids) if f is None else
+                        Node(f, tuple([(frozenset(xs), made[c]) for c, xs in _by_child(kids)])))
         return made[-1]
 
     def evaluate(self, point) -> int:
@@ -352,11 +328,10 @@ class _DecisionGraph(_Frozen):
     def lookup(self, point) -> int:
         """Class of a point already known to lie in the space (unchecked)."""
         nodes = self.nodes
-        f, edges = nodes[-1]
+        f, kids = nodes[-1]
         while f is not None:
-            x = point[f]
-            f, edges = nodes[next(c for values, c in edges if x in values)]
-        return edges
+            f, kids = nodes[kids[point[f]]]
+        return kids
 
     def class_values(self) -> frozenset[int]:
         return self.classes
@@ -401,9 +376,9 @@ class Omdd(_DecisionGraph):
 
     _fields = ("space", "order", "root")
 
-    def _check(self, nodes):
+    def _ranks(self):
         _set(self, "order", tuple(self.order))
-        super()._check(nodes, _rank(self.order, self.space.m))
+        return _rank(self.order, self.space.m)
 
     evaluate = _DecisionGraph.evaluate
 
@@ -418,26 +393,64 @@ def _rank(order, m) -> list[int]:
     return rank
 
 
-def _flatten(root, parts, key=id) -> list:
-    """The node list of the graph below ``root``: its distinct nodes in
-    postorder, edges in stored order. ``parts(node)`` is a node's ``(feature,
-    ((values, child), ...))`` or a leaf's ``(None, class)``; ``key(node)``
-    tells ``Node`` objects apart by identity, file entries by id. ``used``
-    holds the features tested on the path down, so a cycle ends within m
-    levels as a feature tested twice."""
+def _by_child(kids):
+    """The labels of ``kids``: ``(child, values)``, values ascending, by smallest value."""
+    groups = {}
+    for x, c in enumerate(kids):
+        groups[c] = groups.get(c, ()) + (x,)
+    return groups.items()
+
+
+def _flatten(root, parts, sizes, rank=None, key=id) -> list:
+    """The checked node list of the graph below ``root``: its distinct nodes
+    in postorder, children visited in value order, however the edges are
+    listed or split. ``parts(node)`` is a node's ``(feature, ((values,
+    child), ...))`` or a leaf's ``(None, class)``; ``key(node)`` tells
+    ``Node`` objects apart by identity, file entries by id. Labels must be
+    frozensets splitting the domain, no path may test a feature twice
+    (``used``: those on the path down, so a cycle ends within m levels), and
+    under ``rank`` (each feature's order position) every edge must advance."""
+    domains = [frozenset(range(d)) for d in sizes]
     post = {}  # key -> position in the list
     nodes = []
+    tested = []  # features tested at or beneath each listed node, as a bitmask
 
     def visit(node, used):
         k = post.get(key(node))
         f, edges = parts(node) if k is None else nodes[k]
         if f is not None and used >> f & 1:
             raise InputError(f"feature {f + 1} tested twice on one path")
-        if k is None:
-            if f is not None:
-                edges = tuple([(values, visit(child, used | 1 << f)) for values, child in edges])
-            k = post[key(node)] = len(nodes)
-            nodes.append((f, edges))
+        if k is not None:
+            return k
+        mask = 0
+        if f is not None:
+            children = [None] * sizes[f]  # the child each value leads to
+            covered = set()
+            for values, child in edges:
+                if type(values) is not frozenset:
+                    raise InputError(f"edge label {values!r} is not a frozenset")
+                if not values:
+                    raise InputError("empty edge label")
+                if not values <= domains[f]:
+                    raise InputError(f"edge label {sorted(values)} outside domain of feature {f + 1}")
+                if not covered.isdisjoint(values):
+                    raise InputError(f"overlapping edge labels at feature {f + 1}")
+                covered.update(values)
+                for x in values:
+                    children[x] = child
+            if len(covered) != sizes[f]:
+                raise InputError(f"edges of feature {f + 1} do not cover its domain")
+            edges = tuple([visit(child, used | 1 << f) for child in children])
+            for c in edges:
+                g = nodes[c][0]
+                if rank is not None and g is not None and rank[g] <= rank[f]:
+                    raise InputError("edge does not advance in the variable order")
+                mask |= tested[c]
+            if mask >> f & 1:  # a shared node below escapes the path check
+                raise InputError(f"feature {f + 1} tested twice on one path")
+        k = post[key(node)] = len(nodes)
+        nodes.append((f, edges))
+        tested.append(mask if f is None else mask | 1 << f)
         return k
 
     visit(root, 0)
@@ -502,20 +515,19 @@ def sum_kappa_over_cube(model: Classifier, S, v, backend: str = "auto") -> int:
 def _graph_cube_sum(model, S, v) -> int:
     # A(u) is the cube sum of the function below u. A leaf contributes its
     # class once per cube point. At a node testing a free feature f, the
-    # points following an edge E make up |E| / d_f of the cube, and
-    # A(child) does not depend on x_f (no path tests f twice), so the
-    # floor division is exact.
+    # points with x_f = x make up 1 / d_f of the cube, and A(child) does not
+    # depend on x_f (no path tests f twice), so the floor division is exact.
     sizes = model.space.domain_sizes
     free = _cube_size(sizes, S)
     nodes = model.nodes
     total = [0] * len(nodes)
-    for k, (f, edges) in enumerate(nodes):
+    for k, (f, kids) in enumerate(nodes):
         if f is None:
-            total[k] = edges * free
+            total[k] = kids * free
         elif f in S:
-            total[k] = next(total[c] for values, c in edges if v[f] in values)
+            total[k] = total[kids[v[f]]]
         else:
-            total[k] = sum(len(values) * total[c] for values, c in edges) // sizes[f]
+            total[k] = sum(map(total.__getitem__, kids)) // sizes[f]
     return total[-1]
 
 
@@ -525,11 +537,12 @@ def find_counterexample(model: Classifier, S, v, target: int):
     Returns None when every such point maps to target (i.e. S is
     prediction-sufficient). The search walks the stored node list (a
     table's reduced diagram for a table) depth first from the root. At each
-    node it tries the edges in stored order, skipping an edge that leaves
-    v on a feature of S, and sets the feature to v's value if the edge holds
-    it, else to the edge's smallest value. It returns the first such point
-    in that edge order, which need not be the one closest to v: it may
-    change more features than another point that also changes the class.
+    node it tries the children in order of their smallest value, on a
+    feature of S only the one v's value leads to, and sets the feature to
+    v's value if it leads to the child, else to the child's smallest value.
+    It returns the first such point in that order, which need not be the one
+    closest to v: it may change more features than another point that also
+    changes the class.
     The search stops at its first point, so it reaches a node again only
     after the node failed; it remembers the nodes whose cube holds no
     counterexample, so it searches each node at most once.
@@ -540,20 +553,19 @@ def find_counterexample(model: Classifier, S, v, target: int):
     point = list(v)
 
     def search(k):
-        f, edges = nodes[k]
+        f, kids = nodes[k]
         if f is None:
-            return edges != target
-        x = v[f]
-        for values, child in edges:
-            if x in values:
-                pick = x
-            elif f in S:
-                continue
-            else:
-                pick = min(values)
-            if child not in failed and search(child):
-                point[f] = pick
+            return kids != target
+        own = kids[v[f]]
+        if f in S:
+            if own not in failed and search(own):
                 return True
+        else:
+            for x, child in enumerate(kids):
+                if child not in failed and search(child):
+                    if child != own:
+                        point[f] = x
+                    return True
         failed.add(k)
         return False
 
@@ -580,7 +592,7 @@ def _reducer(order, sizes):
     child when every value leads to it. So isomorphic nodes share an id and
     the edges to one child are joined. ``merge`` is ``node`` over children
     that may start earlier in ``order`` than f. ``emit(root)`` lists the ids
-    ``root`` reaches in postorder, edges grouped by child by first value."""
+    ``root`` reaches in postorder as ``(f, kids)`` over list positions."""
     rank = _rank(order, len(sizes))
     unique = {}
     rows = []  # id -> its key
@@ -637,10 +649,7 @@ def _reducer(order, sizes):
                 if tops[i] == len(order):
                     entry = (None, key)
                 else:
-                    groups = {}
-                    for x, c in enumerate(key[1:]):
-                        groups.setdefault(c, []).append(x)
-                    entry = (key[0], tuple([(frozenset(xs), visit(c)) for c, xs in groups.items()]))
+                    entry = (key[0], tuple([visit(c) for c in key[1:]]))
                 pos[i] = len(nodes)
                 nodes.append(entry)
             return pos[i]
@@ -688,15 +697,8 @@ def _fold(nodes, order, sizes):
     a child starts earlier in ``order`` than the node."""
     leaf, _, merge, emit = _reducer(order, sizes)
     out = []
-    for f, edges in nodes:
-        if f is None:
-            out.append(leaf(edges))
-            continue
-        kids = [0] * sizes[f]
-        for values, c in edges:
-            for x in values:
-                kids[x] = out[c]
-        out.append(merge(f, kids, {}))
+    for f, kids in nodes:
+        out.append(leaf(kids) if f is None else merge(f, [out[c] for c in kids], {}))
     return emit(out[-1])
 
 
@@ -709,14 +711,10 @@ def reduce_omdd(omdd: Omdd) -> Omdd:
 
 def is_reduced(omdd: Omdd) -> bool:
     """The reduction rule (Bryant, 1986) over the stored node list: leaf
-    classes are distinct, every internal node has at least two edges, each
-    to a different child, and no two internal nodes test one feature with
-    one edge set. Children come first in the list, so by induction no two
-    distinct nodes are then isomorphic."""
-    seen = set()
-    for f, edges in omdd.nodes:
-        key = (f, edges if f is None else frozenset(edges))
-        if key in seen or f is not None and len({c for _, c in edges}) < max(len(edges), 2):
-            return False
-        seen.add(key)
-    return True
+    classes are distinct, every internal node has at least two children,
+    and no two internal nodes test one feature with one child per value.
+    Children come first in the list, so by induction no two distinct nodes
+    are then isomorphic."""
+    nodes = omdd.nodes
+    return len(set(nodes)) == len(nodes) and all(
+        f is None or kids.count(kids[0]) < len(kids) for f, kids in nodes)

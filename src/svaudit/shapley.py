@@ -122,8 +122,8 @@ def _graph_grades(model, v) -> tuple[Fraction, ...]:
 
     Polynomials are in w, the chance that a feature is left free (it is in
     S with chance 1 - w). A path's features each contribute
-    (b + (a-b) w) / d_f on the edge that tests them, with a = |E| and
-    b = d_f [v_f in E], and features it does not test contribute 1. Top and
+    (b + (1-b) w) / d_f on the value x_f it takes, with b = d_f [x_f = v_f],
+    and features it does not test contribute 1. Top and
     Bottom are scaled by D = prod d_j, so they stay integer polynomials.
     P_i(w) = sum_{u tests i} Top(u) Gain(u) / D = sum_j c_j w^j is D times
     the expected gain of fixing i, and Sv(i) is its integral over [0, 1]
@@ -140,8 +140,8 @@ def _graph_grades(model, v) -> tuple[Fraction, ...]:
 
     # W = 2^B exceeds twice cmax D^2 9^m (cmax the largest |class|), which
     # bounds every |coefficient| of sum_u Top(u) Gain(u) by its l1 norm
-    # D 3^(m-1) * 2 D cmax 3^(m-1). A node's out-edges have l1 weights
-    # sum_E (|b| + |a-b|) / d_f = (3 d_f - 2 a_x) / d_f < 3, and no path meets
+    # D 3^(m-1) * 2 D cmax 3^(m-1). A node's values have l1 weights
+    # sum_x (|b| + |1-b|) / d_f = (3 d_f - 2) / d_f < 3, and no path meets
     # two nodes of one feature, so the l1 norms of Top over any feature's
     # nodes sum to below D 3^(m-1). Bottom(u) = (1-w) fixed + w free, so
     # ||Bottom(u)|| <= 3 max ||Bottom(child)|| from D cmax at the leaves and
@@ -154,32 +154,28 @@ def _graph_grades(model, v) -> tuple[Fraction, ...]:
     # of Bottom(child) still carries the factor d_f of D.
     bottom = [0] * count
     gain = [0] * count
-    for k, (f, edges) in enumerate(nodes):  # children first
+    for k, (f, kids) in enumerate(nodes):  # children first
         if f is None:
-            bottom[k] = D * edges
+            bottom[k] = D * kids
             continue
-        free = 0
-        for E, child in edges:
-            free += len(E) * bottom[child]
-            if v[f] in E:
-                fixed = bottom[child]
-        gain[k] = fixed - free // sizes[f]
+        fixed = bottom[kids[v[f]]]
+        gain[k] = fixed - sum(map(bottom.__getitem__, kids)) // sizes[f]
         bottom[k] = fixed - (gain[k] << B)
 
     grades = [0] * m
     top = [0] * count
     top[-1] = D
     for k in range(count - 1, -1, -1):  # parents first
-        f, edges = nodes[k]
+        f, kids = nodes[k]
         if f is None:
             continue
         grades[f] += top[k] * gain[k]
-        d, x = sizes[f], v[f]
-        t = top[k] // d
-        for E, child in edges:
-            if nodes[child][0] is not None:
-                b = d if x in E else 0
-                top[child] += t * (b + ((len(E) - b) << B))
+        # each value passes on top / d w, and v_f top / d (d - (d-1) w) in all;
+        # a leaf's top is never read
+        t = (top[k] // sizes[f]) << B
+        for child in kids:
+            top[child] += t
+        top[kids[v[f]]] += top[k] - (top[k] << B)
 
     # The division by D is exact: a path's term of Top(u) Gain(u) is D^2
     # over the product of the d_f of the distinct features it tests. With

@@ -150,26 +150,38 @@ def o_minimal_hitting_sets(family):
     return sorted(out, key=lambda h: tuple(sorted(h)))
 
 
+def o_edges(node):
+    """A ``Node``'s edges as ``(sorted values, child)``, one per distinct
+    child object, children in order of their smallest value: the same
+    however the edges are listed or split."""
+    groups = {}
+    for values, child in node.edges:
+        groups.setdefault(id(child), (child, []))[1].extend(values)
+    return sorted([(sorted(values), child) for child, values in groups.values()],
+                  key=lambda edge: edge[0][0])
+
+
 def o_counterexample(model, S, v, target):
     """The point ``find_counterexample`` must return, by a depth-first walk
     of the ``Node``/``Leaf`` objects from the root (a table's reduced
-    diagram for a table) with no memo: edges in stored order, an edge that
-    leaves v on a feature of S skipped, the feature set to v's value if the
-    edge holds it, else to the edge's smallest value. None when every leaf
-    reached holds target."""
+    diagram for a table) with no memo: edges grouped by child in order of
+    smallest value (``o_edges``), a child that v's value does not reach on
+    a feature of S skipped, the feature set to v's value if it reaches the
+    child, else to the child's smallest value. None when every leaf reached
+    holds target."""
     root = to_omdd(model).root if isinstance(model, TabularClassifier) else model.root
 
     def walk(node, chosen):
         if isinstance(node, Leaf):
             return chosen if node.class_value != target else None
         f = node.feature
-        for values, child in node.edges:
+        for values, child in o_edges(node):
             if v[f] in values:
                 x = v[f]
             elif f in S:
                 continue
             else:
-                x = min(values)
+                x = values[0]
             found = walk(child, {**chosen, f: x})
             if found is not None:
                 return found
@@ -181,8 +193,8 @@ def o_counterexample(model, S, v, target):
 
 def o_is_reduced(omdd):
     """Reducedness from the definition, by canonical keys over ``root``: no
-    two distinct nodes share a key, and no node sends two edges, or its whole
-    domain, to children with one key."""
+    two distinct nodes share a key, and no node sends two of its children
+    (``o_edges``), or its whole domain, to children with one key."""
     keys = set()
     canon = {}
     ok = True
@@ -194,14 +206,14 @@ def o_is_reduced(omdd):
         if isinstance(node, Leaf):
             key = ("t", node.class_value)
         else:
+            edges = o_edges(node)
             children = []
-            for _, child in node.edges:
+            for _, child in edges:
                 walk(child)
                 children.append(canon[id(child)])
             if len(set(children)) < len(children) or len(set(children)) == 1:
-                ok = False  # parallel edges to one child, or a redundant node
-            key = ("n", node.feature,
-                   tuple(sorted((tuple(sorted(vs)), canon[id(ch)]) for vs, ch in node.edges)))
+                ok = False  # isomorphic children, or a redundant node
+            key = ("n", node.feature, tuple((tuple(vs), canon[id(ch)]) for vs, ch in edges))
         if key in keys:
             ok = False
         keys.add(key)
@@ -275,7 +287,8 @@ def o_dataset(path):
 def o_model_doc(model):
     """The model file document from the definition: a table lists a row per
     point; a graph numbers the ``Node``/``Leaf`` objects below ``root`` in
-    preorder, each node's edges by smallest value."""
+    preorder, each node's edges grouped by child in order of smallest value
+    (``o_edges``)."""
     space = model.space
     doc = {"type": "table" if isinstance(model, TabularClassifier) else
            "dt" if isinstance(model, DecisionTree) else "omdd",
@@ -299,8 +312,8 @@ def o_model_doc(model):
                 entry["class"] = node.class_value
             else:
                 entry["feature"] = node.feature + 1
-                entry["edges"] = [{"values": sorted(values), "to": visit(child)} for values, child
-                                  in sorted(node.edges, key=lambda edge: min(edge[0]))]
+                entry["edges"] = [{"values": values, "to": visit(child)}
+                                  for values, child in o_edges(node)]
         return ids[id(node)]
 
     visit(model.root)

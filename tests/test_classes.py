@@ -149,6 +149,16 @@ def test_positional_and_keyword_construction_agree_with_defaults():
     (lambda: DecisionTree(FeatureSpace((2,)), Node(0, ((frozenset({None, 0}), Leaf(0)),
                                                        (frozenset({0}), Leaf(1))))),
      "^edge label value None is not an integer$"),
+    # a node's feature is an int, as in model files: not a bool, a float or a string
+    (lambda: DecisionTree(SPACE, Node(True, ((frozenset({0}), Leaf(0)),
+                                             (frozenset({1}), Leaf(1))))),
+     "^node tests unknown feature True$"),
+    (lambda: DecisionTree(SPACE, Node(1.0, ((frozenset({0}), Leaf(0)),
+                                            (frozenset({1}), Leaf(1))))),
+     r"^node tests unknown feature 1\.0$"),
+    (lambda: Omdd(SPACE, (0, 1), Node("1", ((frozenset({0}), Leaf(0)),
+                                            (frozenset({1}), Leaf(1))))),
+     "^node tests unknown feature '1'$"),
 ])
 def test_construction_keeps_its_checks(make, message):
     with pytest.raises((SvauditError, TypeError), match=message):
@@ -278,7 +288,7 @@ def test_models_reports_and_records_pickle():
     rng = random.Random(0)
     space = random_space(rng, max_features=5)
     tree = random_dag(rng, space)
-    edges = sum(len(edges) for f, edges in tree.nodes if f is not None)
+    edges = sum(len(set(kids)) for f, kids in tree.nodes if f is not None)
     assert edges + 1 > len(tree.nodes)  # some node has two parents
     # the copy stores the same node list, so each shared node stays one object
     assert _round_trip(tree).nodes == tree.nodes

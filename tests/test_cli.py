@@ -194,6 +194,12 @@ def test_exit_codes(capsys, k1_path, tmp_path):
     # argparse-level misuse
     assert run(capsys, "synth", "--family", "zzz")[0] == 2
     assert run(capsys, "frobnicate")[0] == 2
+    # a negative budget is a usage error, as a nonpositive --sample or --jobs is;
+    # a zero budget tries no candidate, a domain error
+    code, out, err = run(capsys, "synth", "--family", "a", "--solve", "--budget", "-1")
+    assert (code, out, err) == (2, "", "svaudit: --budget needs a non-negative count\n")
+    code, out, err = run(capsys, "synth", "--family", "a", "--solve", "--budget", "0")
+    assert code == 1 and out == "" and "within 0 candidates" in err and "Traceback" not in err
 
 
 PARSED_ARGVS = [  # (argument list, exit code); "MISSING" names a file that does not exist

@@ -232,6 +232,15 @@ def test_solver_budget_exhaustion():
         solve_family("c", strategy="grid", budget=5)
     with pytest.raises(NoSolutionError):
         solve_family("d", strategy="random", seed=0, budget=3)
+    with pytest.raises(NoSolutionError, match="within 0 candidates"):
+        solve_family("a", strategy="grid", budget=0)
+
+
+@pytest.mark.parametrize("budget", [-1, 2.5, True, "5"])
+def test_solver_budget_must_be_a_non_negative_int(budget):
+    for strategy in ("paper", "grid", "random"):
+        with pytest.raises(InputError, match="is not a non-negative integer"):
+            solve_family("a", strategy=strategy, seed=0, budget=budget)
 
 
 def test_instantiate_b_matches_reference_table():

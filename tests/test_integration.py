@@ -310,8 +310,10 @@ def test_graph_repr_names_the_node_count_not_every_path():
 
 
 def test_node_repr_names_the_edge_count_not_every_path():
-    # the m = 16 chain's root has 2^16 paths below it
+    # the m = 16 chain's root has 2^16 paths below it; the file's two edges
+    # from it to one child are one edge of the view
     root = model_from_dict(_shared_chain_doc(16)).root
     text = repr(root)
     assert len(text) < 1024
-    assert text == "Node(feature=0, edges=2)"
+    assert text == "Node(feature=0, edges=1)"
+    assert repr(root.edges[0][1]) == "Node(feature=1, edges=1)"

@@ -359,19 +359,25 @@ def test_reduce_idempotent_and_detects_duplicates():
 
 
 def test_reduce_merges_parallel_edges():
+    # a node stores one child per value, so parallel edges are joined when
+    # the diagram is built: it is reduced as built, and its view has one
+    # edge per child
     space = FeatureSpace((2, 3))
     t0, t1 = Leaf(0), Leaf(1)
     messy = Node(1, ((frozenset({0}), t0), (frozenset({1}), t0), (frozenset({2}), t1)))
     raw = Omdd(space, (0, 1), Node(0, ((frozenset({0}), messy), (frozenset({1}), t1))))
-    assert not is_reduced(raw)
-    reduced = reduce_omdd(raw)
-    assert is_reduced(reduced)
-    assert reduced == reduce_omdd(reduced)
+    joined = Node(1, ((frozenset({0, 1}), t0), (frozenset({2}), t1)))
+    assert raw == Omdd(space, (0, 1), Node(0, ((frozenset({0}), joined), (frozenset({1}), t1))))
+    assert is_reduced(raw) and o_is_reduced(raw)
+    assert reduce_omdd(raw) is raw
+    assert model_to_dict(raw)["nodes"][1]["edges"] == [{"values": [0, 1], "to": 2},
+                                                        {"values": [2], "to": 3}]
 
 
 def test_one_reducer_agrees_with_the_reference_on_random_diagrams():
-    # draws hold duplicate leaves and nodes, parallel edges, redundant nodes
-    # and shared children under random orders (m 1-6, domains 2-4)
+    # draws hold duplicate leaves and nodes, parallel edges (joined when the
+    # diagram is built), redundant nodes and shared children under random
+    # orders (m 1-6, domains 2-4)
     rng = random.Random(707)
     unreduced = 0
     for _ in range(500):
@@ -486,12 +492,16 @@ def test_loaded_omdd_is_canonicalized(tmp_path, k1_table):
 
 def test_loading_builds_each_model_once(monkeypatch, k1_table, k1_dt):
     # a reduced diagram is kept as loaded; only an unreduced one is folded
-    # into a second diagram: one check of a node list per model made
+    # into a second diagram. Each file is checked once, by the walk that
+    # flattens it; the fold's list is stored unchecked
+    import svaudit.model_io as model_io
     import svaudit.models as models
-    checks = []
-    check = models._DecisionGraph._check
-    monkeypatch.setattr(models._DecisionGraph, "_check",
-                        lambda self, nodes, rank=None: checks.append(1) or check(self, nodes, rank))
+    walks, stores = [], []
+    walk = models._flatten
+    monkeypatch.setattr(model_io, "_flatten", lambda *a, **k: walks.append(1) or walk(*a, **k))
+    store = models._DecisionGraph._store
+    monkeypatch.setattr(models._DecisionGraph, "_store",
+                        lambda self, nodes: stores.append(1) or store(self, nodes))
     raw = model_to_dict(tabular_to_omdd(k1_table, (2, 0, 1)))
     # point one of the edges into the class-1 leaf at a copy of that leaf
     unreduced = json.loads(json.dumps(raw))
@@ -502,15 +512,16 @@ def test_loading_builds_each_model_once(monkeypatch, k1_table, k1_dt):
     assert len(into) > 1
     into[0]["to"] = "copy"
     for doc, builds in ((model_to_dict(k1_dt), 1), (raw, 1), (unreduced, 2)):
-        checks.clear()
+        walks.clear()
+        stores.clear()
         model = model_from_dict(json.loads(json.dumps(doc)))
-        assert len(checks) == builds
+        assert len(walks) == 1 and len(stores) == builds
         assert [model.evaluate(p) for p in model.space.points()] == list(k1_table.values)
 
 
 def test_to_omdd_is_canonical_whatever_order_a_tree_lists_its_edges_in():
-    # every node the fold builds stores its edges by smallest value, as the
-    # table collapse does, so the two diagrams are equal in memory and their
+    # every node the fold builds stores one child per value, as the table
+    # collapse does, so the two diagrams are equal in memory and their
     # traversals pick the same counterexamples
     rng = random.Random(5)
     for _ in range(200):
@@ -540,11 +551,11 @@ def test_to_omdd_of_a_graph_equals_the_table_collapse_under_any_order():
         space = random_space(rng, max_features=6, domain_pool=(3, 4))
         models.append(random_dag(rng, space, stop=0.15, partition=uneven_partition))
     models += [random_table(rng, domain_pool=(2, 3)) for _ in range(50)]
-    labels = Counter()  # (domain size, label size) of every edge the fold reads
+    labels = Counter()  # (domain size, values per child) of every node the fold reads
     for model in models:
         if not isinstance(model, TabularClassifier):
-            labels.update((model.space.domain_sizes[f], len(values))
-                          for f, edges in model.nodes if f is not None for values, _ in edges)
+            labels.update((model.space.domain_sizes[f], n) for f, kids in model.nodes
+                          if f is not None for n in Counter(kids).values())
         order = list(range(model.space.m))
         rng.shuffle(order)
         omdd = to_omdd(model, order)
@@ -836,23 +847,35 @@ def test_load_model_makes_no_node_objects(monkeypatch, tmp_path):
         assert model_to_json(loaded) == model_to_json(model)
 
 
-def _shuffled_doc(rng, model):
+def _labels(kids):
+    """A node's ``(values, child)`` labels, one per child, values ascending."""
+    groups = {}
+    for x, c in enumerate(kids):
+        groups.setdefault(c, []).append(x)
+    return [(values, c) for c, values in groups.items()]
+
+
+def _shuffled_doc(rng, model, split=False):
     """``model``'s document with its entries out of postorder (the root still
-    first), edges in stored order, mixed integer and string ids, each label's
-    values shuffled, and one well-formed entry the root does not reach."""
+    first), each node's edges shuffled, mixed integer and string ids, each
+    label's values shuffled, and one well-formed entry the root does not
+    reach. With ``split``, every label is cut into one edge per value."""
     nodes = model.nodes
     ids = [k if rng.random() < 0.5 else f"n{k}" for k in range(len(nodes))]
     entries = []
-    for k, (f, edges) in enumerate(nodes):
+    for k, (f, kids) in enumerate(nodes):
         if f is None:
-            entries.append({"id": ids[k], "class": edges})
+            entries.append({"id": ids[k], "class": kids})
         else:
+            edges = _labels(kids)
+            if split:
+                edges = [([x], c) for values, c in edges for x in values]
+            rng.shuffle(edges)
             entries.append({"id": ids[k], "feature": f + 1, "edges": [
-                {"values": rng.sample(sorted(values), len(values)), "to": ids[c]}
-                for values, c in edges]})
-    f, edges = nodes[-1]
+                {"values": rng.sample(values, len(values)), "to": ids[c]} for values, c in edges]})
+    f, kids = nodes[-1]
     entries.append({"id": "spare", "feature": f + 1,
-                    "edges": [{"values": sorted(values), "to": ids[c]} for values, c in edges]})
+                    "edges": [{"values": values, "to": ids[c]} for values, c in _labels(kids)]})
     rest = entries[:-2] + entries[-1:]
     rng.shuffle(rest)
     doc = {"type": "dt" if isinstance(model, DecisionTree) else "omdd",
@@ -871,10 +894,75 @@ def test_file_entries_and_node_objects_flatten_alike():
     for _ in range(100):
         space = random_space(rng, max_features=6, domain_pool=(2, 3, 4))
         tree = random_dag(rng, space, stop=0.15, partition=uneven_partition)
-        parents = Counter(c for f, edges in tree.nodes if f is not None for _, c in edges)
+        parents = Counter(c for f, kids in tree.nodes if f is not None for c in set(kids))
         shared += max(parents.values()) > 1
         assert model_from_dict(_shuffled_doc(rng, tree)).nodes == tree.nodes
     for _ in range(100):
         omdd = random_raw_omdd(rng)
         assert model_from_dict(_shuffled_doc(rng, omdd)).nodes == reduce_omdd(omdd).nodes
     assert shared > 50  # trees with a node that several edges reach
+
+
+def _split_copy(rng, node, memo):
+    """Copy of the graph below ``node``, each shared node still shared, with
+    every label cut into one edge per value and each node's edges shuffled."""
+    if id(node) not in memo:
+        if isinstance(node, Leaf):
+            memo[id(node)] = Leaf(node.class_value)
+        else:
+            edges = [(frozenset({x}), _split_copy(rng, child, memo))
+                     for values, child in node.edges for x in sorted(values)]
+            rng.shuffle(edges)
+            memo[id(node)] = Node(node.feature, tuple(edges))
+    return memo[id(node)]
+
+
+def test_graphs_are_equal_however_their_edges_are_listed_or_split():
+    # over domains (3, 2): a label {0, 2} to a shared node, against {2} and
+    # {0} as separate edges listed after the edge for 1
+    space = FeatureSpace((3, 2))
+    t0, t1 = Leaf(0), Leaf(1)
+    shared = Node(1, ((frozenset({0}), t0), (frozenset({1}), t1)))
+    joined = DecisionTree(space, Node(0, ((frozenset({0, 2}), shared), (frozenset({1}), t1))))
+    split = DecisionTree(space, Node(0, ((frozenset({1}), t1), (frozenset({2}), shared),
+                                         (frozenset({0}), shared))))
+    assert joined.nodes == split.nodes and joined == split and hash(joined) == hash(split)
+    assert model_to_json(joined) == model_to_json(split)
+    assert find_counterexample(joined, frozenset(), (1, 1), 1) == (0, 0)
+    assert find_counterexample(split, frozenset(), (1, 1), 1) == (0, 0)
+    # the view made from the list groups the values by child again
+    root = pickle.loads(pickle.dumps(split)).root
+    assert [sorted(values) for values, _ in root.edges] == [[0, 2], [1]]
+
+    rng = random.Random(2810)
+    splits = 0
+    for k in range(200):
+        if k % 2:
+            model = random_raw_omdd(rng)
+            rebuilt = Omdd(model.space, model.order, _split_copy(rng, model.root, {}))
+            loaded = reduce_omdd(model)
+        else:
+            model = random_dag(rng, random_space(rng, domain_pool=(2, 3, 4)),
+                               partition=uneven_partition)
+            rebuilt = DecisionTree(model.space, _split_copy(rng, model.root, {}))
+            loaded = model
+        splits += any(len(values) > 1 for f, kids in model.nodes if f is not None
+                      for values in _labels(kids))
+        # a file names its features, so the shuffled file is set against one
+        # the writer wrote
+        from_file = model_from_dict(_shuffled_doc(rng, model, split=True))
+        written = model_from_dict(model_to_dict(loaded))
+        assert written.nodes == loaded.nodes
+        for first, second in ((model, rebuilt), (written, from_file)):
+            assert first.nodes == second.nodes and first == second
+            assert hash(first) == hash(second)
+            assert model_to_json(first) == model_to_json(second)
+            space = first.space
+            for _ in range(4):
+                v = tuple(rng.randrange(d) for d in space.domain_sizes)
+                S = frozenset(i for i in range(space.m) if rng.random() < 0.5)
+                target = rng.choice(sorted(first.class_values()))
+                assert find_counterexample(first, S, v, target) \
+                    == find_counterexample(second, S, v, target) \
+                    == o_counterexample(second, S, v, target)
+    assert splits > 150  # most graphs had a label to split

@@ -129,7 +129,7 @@ FLAG_VALUES = {
     "--model": ("table.json", "omdd.json"), "--instance": ("1,1,2", "0,1,0"),
     "--method": ("brute",), "--out": ("out.json",),
     "--sample": ("2",), "--seed": ("0", "7"), "--jobs": ("1", "2"),
-    "--family": ("a", "b", "c", "c5", "d"), "--budget": ("50",), "--psi": ("3",),
+    "--family": ("a", "b", "c", "c5", "d"), "--budget": ("50", "-1", "0"), "--psi": ("3",),
     "--cert": ("cert.json",), "--data": ("data.csv",), "--to": ("table", "omdd"),
     "--order": ("2,3,1",),
 }
