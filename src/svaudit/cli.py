@@ -3,7 +3,8 @@
 Commands map one-to-one onto library calls, so identical inputs through the
 API and the CLI produce byte-identical artifacts. Exit status: 0 on success,
 1 on domain errors (unreadable models, capacity, invariant violations),
-2 on usage errors (bad flags, malformed/out-of-range instance strings).
+2 on usage errors (bad flags, counts out of range, malformed/out-of-range
+instance strings). Count flags are checked before any file is read.
 """
 
 from __future__ import annotations
@@ -94,12 +95,12 @@ def _cmd_validate(args) -> None:
 
 def _cmd_scan(args) -> None:
     from .scan import records_to_csv, scan_model
-    model = model_io.load_model(args.model)
     sample = None if args.all or args.sample is None else args.sample
     if sample is not None and sample < 1:
         raise UsageError("--sample needs a positive count")
     if args.jobs < 1:
         raise UsageError("--jobs needs a positive count")
+    model = model_io.load_model(args.model)
     records, summary = scan_model(model, sample=sample, seed=args.seed, jobs=args.jobs)
     csv_text = records_to_csv(records, model.space)
     summary_text = _json_text(summary.to_json_dict())
@@ -115,6 +116,8 @@ def _cmd_synth(args) -> None:
     from .families import certificate, instantiate, solve_family
     if args.budget < 0:
         raise UsageError("--budget needs a non-negative count")
+    if args.psi < 1:
+        raise UsageError("--psi needs a positive count")
     strategy = "grid" if args.solve else "paper"
     if args.solve and args.seed is not None:
         strategy = "random"

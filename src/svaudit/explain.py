@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import CapacityError, InputError
-from .models import ExplanationProblem, _Frozen, find_counterexample
+from .models import ExplanationProblem, _Frozen, _rank, find_counterexample
 
 # The brute engine refuses to enumerate the subsets of more features than this.
 EXPLAIN_CAP = 20
@@ -59,11 +59,8 @@ def _shrink(problem, holds, order):
 
 
 def _elimination_order(problem, order):
-    if order is None:
-        return list(range(problem.m))
-    order = list(order)
-    if sorted(order) != list(range(problem.m)):
-        raise InputError("elimination order must be a permutation of the features")
+    order = list(range(problem.m)) if order is None else list(order)
+    _rank(order, problem.m)
     return order
 
 

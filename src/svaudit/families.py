@@ -32,7 +32,6 @@ from operator import mul
 from .errors import InputError, NoSolutionError
 from .explain import relevancy_report
 from .models import ExplanationProblem, FeatureSpace, TabularClassifier, _Frozen, _set
-from .rat import rat_json
 from .shapley import shapley_values
 
 
@@ -220,7 +219,7 @@ def certificate(spec: FamilySpec) -> dict:
     return {
         "family": spec.family,
         "params": {"alpha": spec.alpha, "sigmas": list(spec.sigmas), "psi": spec.psi},
-        "sv": [dict(feature=i + 1, **rat_json(q)) for i, q in enumerate(report.values)],
-        "axps": [[i + 1 for i in sorted(x)] for x in relevancy.axps],
+        "sv": report.to_json_dict()["sv"],
+        "axps": relevancy.to_json_dict()["axps"],
         "constraints_checked": bool(checked),
     }

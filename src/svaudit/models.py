@@ -54,6 +54,14 @@ ENUMERATION_CAP = 1 << 24
 _set = object.__setattr__  # constructors store their fields past the frozen ``__setattr__``
 
 
+def _integer(x, what) -> int:
+    """``x`` as an int (``operator.index``), or an ``InputError`` naming ``what``."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise InputError(f"{what} {x!r} is not an integer") from None
+
+
 class _Frozen:
     """Base of the immutable value classes. ``_fields`` names the constructor
     arguments in order, every one required. The constructor stores its
@@ -115,18 +123,20 @@ class _Frozen:
 
 class FeatureSpace(_Frozen):
     """Cartesian product of finite feature domains; values of feature i are
-    0 .. domain_sizes[i]-1."""
+    0 .. domain_sizes[i]-1. Sizes are integers, a float or a string refused,
+    not converted; ``names`` defaults to ``x1 .. xm``, as in a model file."""
 
     __slots__ = _fields = ("domain_sizes", "names")
 
     def __init__(self, domain_sizes: tuple[int, ...], names: Optional[tuple[str, ...]] = None):
-        domain_sizes = tuple(int(d) for d in domain_sizes)
+        domain_sizes = tuple(_integer(d, "domain size") for d in domain_sizes)
+        if names is None:
+            names = [f"x{i + 1}" for i in range(len(domain_sizes))]
+        names = tuple(map(str, names))
         _set(self, "domain_sizes", domain_sizes)
-        if names is not None:
-            names = tuple(str(n) for n in names)
-            if len(names) != len(domain_sizes):
-                raise InputError("feature names do not match feature count")
         _set(self, "names", names)
+        if len(names) != len(domain_sizes):
+            raise InputError("feature names do not match feature count")
         if len(domain_sizes) < 1:
             raise InputError("need at least one feature")
         if any(d < 2 for d in domain_sizes):
@@ -145,9 +155,7 @@ class FeatureSpace(_Frozen):
 
     @property
     def feature_names(self) -> tuple[str, ...]:
-        if self.names is not None:
-            return self.names
-        return tuple(f"x{i + 1}" for i in range(self.m))
+        return self.names
 
     def validate_point(self, point) -> tuple[int, ...]:
         point = tuple(point)
@@ -200,13 +208,6 @@ def _cube_size(sizes, S) -> int:
     return prod(d for i, d in enumerate(sizes) if i not in S)
 
 
-def _class_value(c) -> int:
-    try:
-        return operator.index(c)
-    except TypeError:
-        raise InputError(f"class {c!r} is not an integer") from None
-
-
 class TabularClassifier(_Frozen):
     """Complete truth table: one class value per point, mixed-radix order."""
 
@@ -214,7 +215,7 @@ class TabularClassifier(_Frozen):
     _fields = ("space", "values")
 
     def __init__(self, space: FeatureSpace, values: tuple[int, ...]):
-        values = tuple(map(_class_value, values))
+        values = tuple([_integer(c, "class") for c in values])
         _set(self, "space", space)
         _set(self, "values", values)
         if len(values) != space.size:
@@ -296,7 +297,7 @@ class _DecisionGraph(_Frozen):
                 raise InputError(f"edge label value {bad[0]!r} is not an integer")
             return f, node.edges
         if isinstance(node, Leaf):
-            return None, _class_value(node.class_value)
+            return None, _integer(node.class_value, "class")
         raise InputError(f"unexpected node object {node!r}")
 
     @classmethod
@@ -384,8 +385,9 @@ class Omdd(_DecisionGraph):
 
 
 def _rank(order, m) -> list[int]:
-    """Position of each feature in ``order``, a permutation of the m features."""
-    if sorted(order) != list(range(m)):
+    """Position of each feature in ``order``, a permutation of the m features
+    as ints (``type(f) is int``, the rule of ``validate_subset``)."""
+    if not all(type(f) is int for f in order) or sorted(order) != list(range(m)):
         raise InputError(f"order {order} is not a permutation of the features")
     rank = [0] * m
     for k, f in enumerate(order):
@@ -461,12 +463,14 @@ Classifier = Union[TabularClassifier, DecisionTree, Omdd]
 
 
 class ExplanationProblem(_Frozen):
-    """A classifier plus the instance (v, c) under analysis; c = model(v)."""
+    """A classifier plus the instance (v, c) under analysis; c = model(v), an
+    integer (a bool is taken as its int; a float or a string is refused)."""
 
     __slots__ = _fields = ("model", "point", "predicted")
 
     def __init__(self, model: Classifier, point: tuple[int, ...], predicted: int):
         point = model.space.validate_point(point)
+        predicted = _integer(predicted, "instance class")
         _set(self, "model", model)
         _set(self, "point", point)
         _set(self, "predicted", predicted)

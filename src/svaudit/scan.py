@@ -18,6 +18,7 @@ models.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import random
 from fractions import Fraction
@@ -86,19 +87,8 @@ def analyze_instance(problem: ExplanationProblem,
                       report.values, relevant, issue, v_i, v_j)
 
 
-class _Scanner:
-    """Analyzes instances of one model. ``phi(empty)``, one number per model,
-    comes from ``phi`` on the first instance and serves the rest."""
-
-    def __init__(self, model):
-        self.model = model
-        self.phi_empty = None
-
-    def __call__(self, index) -> ScanRecord:
-        problem = ExplanationProblem.of(self.model, self.model.space.point_at(index))
-        if self.phi_empty is None:
-            self.phi_empty = phi(problem, frozenset())
-        return analyze_instance(problem, self.phi_empty)
+def _analyze_index(model, phi_empty, index) -> ScanRecord:
+    return analyze_instance(ExplanationProblem.of(model, model.space.point_at(index)), phi_empty)
 
 
 _worker_scanner = None  # set in each ``--jobs`` worker process by its initializer
@@ -119,7 +109,8 @@ def scan_model(model, sample: Optional[int] = None, seed: int = 0, jobs: int = 1
     Sampling uses ``random.Random(seed).sample`` (Mersenne Twister) over
     mixed-radix point indices; asking for at least as many samples as there
     are points degenerates to the full scan. Records come back sorted by
-    instance index regardless of worker completion order.
+    instance index regardless of worker completion order. ``phi(empty)``,
+    one number per model, is computed once, before any instance.
     """
     space = model.space
     if sample is None or sample >= space.size:
@@ -128,17 +119,19 @@ def scan_model(model, sample: Optional[int] = None, seed: int = 0, jobs: int = 1
         if sample < 1:
             raise InputError("sample size must be positive")
         indices = sorted(random.Random(seed).sample(range(space.size), sample))
-    scanner = _Scanner(model)
+    point = space.point_at(indices[0])
+    phi_empty = phi(ExplanationProblem(model, point, model.lookup(point)), frozenset())
+    scanner = functools.partial(_analyze_index, model, phi_empty)
     if jobs > 1:
         # imported here, so a CLI start does not pay for the pool modules
         from concurrent.futures import ProcessPoolExecutor
-        # each worker receives the model once and keeps its own phi(empty); a pool
-        # starts all its workers at once, so it gets none beyond the instances
+        # each worker receives the model and phi(empty) once, by its initializer;
+        # a pool starts all its workers at once, so it gets none beyond the instances
         with ProcessPoolExecutor(max_workers=min(jobs, len(indices)),
                                  initializer=_start_worker, initargs=(scanner,)) as pool:
             records = list(pool.map(_scan_in_worker, indices, chunksize=16))
     else:
-        records = [scanner(i) for i in indices]
+        records = list(map(scanner, indices))
     return tuple(records), summarize(records)
 
 

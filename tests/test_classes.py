@@ -10,8 +10,8 @@ import pytest
 from oracle import random_dag, random_space
 from svaudit.adversarial import AdversarialSet, minimal_adversarial_sets
 from svaudit.dataset import Dataset
-from svaudit.errors import SvauditError
-from svaudit.explain import RelevancyReport, relevancy_report
+from svaudit.errors import InputError, SvauditError
+from svaudit.explain import RelevancyReport, one_axp, relevancy_report
 from svaudit.families import _FAMILIES, FamilySpec, _FamilyDef
 from svaudit.models import (
     DecisionTree,
@@ -69,8 +69,8 @@ def _instances():
 
 def test_positional_and_keyword_construction_agree_with_defaults():
     assert FeatureSpace((2, 3)) == FeatureSpace(domain_sizes=[2, 3], names=None)
-    assert FeatureSpace((2, 3)).names is None
-    assert FeatureSpace([2.0, 3], ["a", "b"]) == SPACE  # converted like the parent's checks
+    assert FeatureSpace((2, 3)).names == ("x1", "x2")
+    assert FeatureSpace([2, 3], ["a", "b"]) == SPACE  # lists are stored as tuples
     assert TabularClassifier(SPACE, list(TABLE_VALUES)) == \
         TabularClassifier(space=SPACE, values=TABLE_VALUES)
     assert Leaf(1) == Leaf(class_value=1)
@@ -162,6 +162,30 @@ def test_positional_and_keyword_construction_agree_with_defaults():
 ])
 def test_construction_keeps_its_checks(make, message):
     with pytest.raises((SvauditError, TypeError), match=message):
+        make()
+
+
+# integers are ints: a float or a string is refused, not truncated, converted
+# or left to fail later with a TypeError, and a bool order is refused too
+@pytest.mark.parametrize("make, message", [
+    (lambda: ExplanationProblem(TabularClassifier(SPACE, TABLE_VALUES), (0, 1), 1.0),
+     r"^instance class 1\.0 is not an integer$"),
+    (lambda: FeatureSpace((2.5, 2)), r"^domain size 2\.5 is not an integer$"),
+    (lambda: FeatureSpace(("3", 2)), "^domain size '3' is not an integer$"),
+    (lambda: to_omdd(TabularClassifier(SPACE, TABLE_VALUES), (0.0, 1.0)),
+     r"^order \(0\.0, 1\.0\) is not a permutation of the features$"),
+    (lambda: to_omdd(TabularClassifier(SPACE, TABLE_VALUES), ("0", 1)),
+     r"^order \('0', 1\) is not a permutation"),
+    (lambda: to_omdd(TabularClassifier(SPACE, TABLE_VALUES), (True, 0)),
+     r"^order \(True, 0\) is not a permutation"),
+    (lambda: to_omdd(DecisionTree(SPACE, _graph()), (1.0, 0)), r"^order \(1\.0, 0\)"),
+    (lambda: Omdd(SPACE, (0.0, 1.0), _graph()), r"^order \(0\.0, 1\.0\) is not a permutation"),
+    (lambda: one_axp(ExplanationProblem.of(TabularClassifier(SPACE, TABLE_VALUES), (0, 1)),
+                     (1.0, 0)),
+     r"^order \[1\.0, 0\] is not a permutation"),
+])
+def test_integer_inputs_are_refused_not_converted(make, message):
+    with pytest.raises(InputError, match=message):
         make()
 
 

@@ -200,6 +200,15 @@ def test_exit_codes(capsys, k1_path, tmp_path):
     assert (code, out, err) == (2, "", "svaudit: --budget needs a non-negative count\n")
     code, out, err = run(capsys, "synth", "--family", "a", "--solve", "--budget", "0")
     assert code == 1 and out == "" and "within 0 candidates" in err and "Traceback" not in err
+    # every count flag is checked before any file is read: a usage error, even
+    # where the model file is missing
+    for psi in ("0", "-2"):
+        code, out, err = run(capsys, "synth", "--family", "a", "--psi", psi)
+        assert (code, out, err) == (2, "", "svaudit: --psi needs a positive count\n")
+    missing = str(tmp_path / "missing.json")
+    for flag, count in (("--jobs", "0"), ("--jobs", "-1"), ("--sample", "0"), ("--sample", "-3")):
+        code, out, err = run(capsys, "scan", "--model", missing, flag, count)
+        assert (code, out, err) == (2, "", f"svaudit: {flag} needs a positive count\n")
 
 
 PARSED_ARGVS = [  # (argument list, exit code); "MISSING" names a file that does not exist

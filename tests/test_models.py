@@ -137,6 +137,8 @@ def test_classes_must_be_integers():
     # integer types other than int are taken as their int value
     table = TabularClassifier(space, (False, True, 1, 0))
     assert table.values == (0, 1, 1, 0) and all(type(c) is int for c in table.values)
+    predicted = ExplanationProblem(table, (0, 1), True).predicted
+    assert predicted == 1 and type(predicted) is int
     # a graph's point lookups read its checked node list, not its leaves
     low = Node(1, ((frozenset({0}), Leaf(0)), (frozenset({1}), Leaf(2))))
     tree = DecisionTree(space, Node(0, ((frozenset({0}), Leaf(True)), (frozenset({1}), low))))
@@ -420,6 +422,23 @@ def test_model_io_round_trips(tmp_path, k1_table, k1_dt):
         for p in model.space.points():
             assert loaded.evaluate(p) == model.evaluate(p)
         assert loaded.space.feature_names == model.space.feature_names
+
+
+def test_models_equal_themselves_read_back_from_their_files(tmp_path):
+    # an unnamed space holds the names its file gets, x1 .. xm; a loaded
+    # diagram is reduced, so the diagrams drawn here are
+    rng = random.Random(29)
+    path = tmp_path / "model.json"
+    for _ in range(30):
+        space = random_space(rng)
+        dag = random_dag(rng, space)
+        order = list(range(space.m))
+        rng.shuffle(order)
+        for model in (random_table(rng, space), random_dt(rng, space), dag,
+                      to_omdd(dag, order), reduce_omdd(random_raw_omdd(rng))):
+            assert model_from_dict(model_to_dict(model)) == model
+            save_model(model, path)
+            assert load_model(path) == model
 
 
 def test_model_io_table_schema(k1_table):

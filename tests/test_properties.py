@@ -8,13 +8,15 @@ Shapley, adversarial and the writer all run, and whose written bytes load
 and write back unchanged.
 
 The command line is fuzzed the same way: argument lists drawn from the
-subcommands, their flags and awkward atoms exit 0, 1 or 2, and a small CSV
-with bytes inserted or deleted makes ``build-omdd`` exit 0 or 1.
+subcommands, their flags and awkward atoms exit 0, 1 or 2, as does a fixed
+sweep over every pair of each command's flags, and a small CSV with bytes
+inserted or deleted makes ``build-omdd`` exit 0 or 1.
 """
 
 import contextlib
 import copy
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -159,6 +161,21 @@ def _argument_lists(draw):
     return argv
 
 
+def _flag_sweep():
+    """Each subcommand with its required flags at their first value, then
+    each pair of its other flags (the one other flag, where it has only one)
+    with every value of each: no draw is left to reach a combination."""
+    for command, (required, optional) in COMMAND_FLAGS.items():
+        head = [command]
+        for flag in required:
+            head += [flag, FLAG_VALUES[flag][0]]
+        for flags in itertools.combinations(optional, min(2, len(optional))):
+            spelled = [[[flag]] if flag in BARE_FLAGS
+                       else [[flag, value] for value in FLAG_VALUES[flag]] for flag in flags]
+            for parts in itertools.product(*spelled):
+                yield head + [item for part in parts for item in part]
+
+
 CSV_ATOMS = (b"\x00", b"\xef\xbb\xbf", b'"', b"\r\n", b"1" * 5000, b"\xff")
 # (position, delete the byte there or insert the atom), positions modulo the length
 CSV_EDITS = st.lists(st.tuples(st.integers(0, 10 ** 4), st.booleans(),
@@ -191,6 +208,15 @@ def test_cli_argument_lists_exit_cleanly(argv):
     status, err = _run_in_scratch_dir(argv)
     assert status in (0, 1, 2)
     assert "Traceback" not in err
+
+
+# 66 argument lists; as ``FLAG_VALUES`` gives ``--jobs`` no more than 2, no
+# run starts more than two worker processes
+def test_every_pair_of_a_commands_flags_exits_cleanly():
+    for argv in _flag_sweep():
+        status, err = _run_in_scratch_dir(argv)
+        assert status in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -155,18 +155,20 @@ def test_scan_with_worker_pool(k1_table):
     assert serial == parallel
 
 
-def test_scan_pool_starts_no_more_workers_than_instances(monkeypatch, k1_table):
-    # the pool forks all its workers at the first submit; a stand-in that
-    # records its size and maps serially keeps this test free of processes
+@pytest.fixture
+def pool_log(monkeypatch):
+    """A stand-in pool that logs its size and maps serially, so a test of the
+    pool starts no process (a real one forks all its workers at the first
+    submit); returns the log."""
     import concurrent.futures
 
     from svaudit import scan
 
-    sizes = []
+    log = []
 
     class SerialPool:
         def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
+            log.append(max_workers)
             initializer(*initargs)
 
         def __enter__(self):
@@ -180,10 +182,33 @@ def test_scan_pool_starts_no_more_workers_than_instances(monkeypatch, k1_table):
 
     monkeypatch.setattr(scan, "_worker_scanner", None)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return log
+
+
+def test_scan_pool_starts_no_more_workers_than_instances(pool_log, k1_table):
     for jobs, sample, workers in ((8, 2, 2), (2, 5, 2), (8, None, 8), (16, None, 8)):
         assert scan_model(k1_table, sample=sample, seed=3, jobs=jobs) == \
             scan_model(k1_table, sample=sample, seed=3)
-        assert sizes.pop() == workers
+        assert pool_log.pop() == workers
+
+
+def test_scan_computes_phi_empty_once_before_any_instance_or_worker(monkeypatch, pool_log,
+                                                                    k1_table):
+    from svaudit import scan, shapley
+
+    expected = scan_model(k1_table, sample=5, seed=3)
+
+    def logged(name, fn):
+        return lambda *args, **kwargs: pool_log.append(name) or fn(*args, **kwargs)
+
+    # the scan's own name and the one ``shapley_values`` falls back on
+    monkeypatch.setattr(scan, "phi", logged("phi", phi))
+    monkeypatch.setattr(shapley, "phi", logged("phi", phi))
+    monkeypatch.setattr(scan, "analyze_instance", logged("instance", analyze_instance))
+    for jobs, pool in ((1, []), (2, [2]), (8, [5])):
+        assert scan_model(k1_table, sample=5, seed=3, jobs=jobs) == expected
+        assert pool_log == ["phi", *pool, *["instance"] * 5]
+        pool_log.clear()
 
 
 def test_records_csv(k1_table):
