@@ -24,7 +24,7 @@ from itertools import compress
 from operator import ne
 
 from .errors import InputError
-from .models import FeatureSpace, Omdd, TabularClassifier, _Frozen, tabular_to_omdd
+from .models import FeatureSpace, Omdd, TabularClassifier, _Frozen, to_omdd
 
 
 class Dataset(_Frozen):
@@ -178,4 +178,4 @@ def build_omdd_from_dataset(dataset: Dataset) -> Omdd:
     for place, label in zip(places, labels):
         values[place] = label
     table = TabularClassifier(space, tuple(values))  # rejects a constant completion
-    return tabular_to_omdd(table)
+    return to_omdd(table)

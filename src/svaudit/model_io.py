@@ -63,8 +63,11 @@ def load_model(path) -> Classifier:
 
 
 def save_model(model: Classifier, path) -> None:
+    """Write the model's document to ``path``; a model that cannot be
+    serialized raises before the file is opened, so it is left as it was."""
+    text = model_to_json(model)
     with open(path, "w", encoding="utf-8") as fp:
-        fp.write(model_to_json(model))
+        fp.write(text)
 
 
 def model_to_json(model: Classifier) -> str:
@@ -72,6 +75,8 @@ def model_to_json(model: Classifier) -> str:
     newline, straight from a table's values or a graph's node list; graph
     entries are numbered in preorder from the root, each node's values grouped
     by child in order of smallest value, one rendering per distinct label."""
+    if not isinstance(model, (TabularClassifier, DecisionTree, Omdd)):
+        raise InputError(f"cannot serialize {type(model).__name__}")
     space = model.space
     features = [_FEATURE % (encode_basestring_ascii(name), d)
                 for name, d in zip(space.feature_names, space.domain_sizes)]
@@ -79,8 +84,6 @@ def model_to_json(model: Classifier) -> str:
     if isinstance(model, TabularClassifier):
         rows = [_list(map(str, (*p, c)), "    ") for p, c in zip(space.points(), model.values)]
         return _DOC % ("table", *head, "", "rows", _list(rows, "  "))
-    if not isinstance(model, (DecisionTree, Omdd)):
-        raise InputError(f"cannot serialize {type(model).__name__}")
     nodes = model.nodes
     label = functools.cache(lambda values: _list(map(int.__repr__, values), "          "))
     ids = {}  # position in ``nodes`` -> preorder id

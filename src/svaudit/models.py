@@ -20,11 +20,10 @@ One reducer builds every OMDD: a unique table over integer ids (Bryant,
 1986), where a node is keyed by its feature and its child's id for each
 value, so isomorphic nodes share an id, and a node whose values all lead to
 one child is that child; the ``Omdd`` is made from the node list it emits.
-``to_omdd`` (also ``tabular_to_omdd``) collapses a table's axes through it,
-and folds a graph's node list through it under any variable order: where a
-child starts earlier in the order than its parent, the fold splits on that
-feature (Bryant's apply), so no table is built. ``reduce_omdd`` folds a
-diagram under its own order only when ``is_reduced`` fails.
+Only ``to_omdd`` (also ``tabular_to_omdd``) runs it: it collapses a table's
+axes, or folds a graph's node list under any order, splitting where a child
+starts earlier than its parent (Bryant's apply), each split once per fold
+however many nodes need it. ``reduce_omdd`` folds only when ``is_reduced`` fails.
 
 A table keeps its values for ``lookup`` and the ``enumerate`` cube sum. On
 first use it caches ``nodes``, the node list of its reduced OMDD under the
@@ -274,7 +273,7 @@ class _DecisionGraph(_Frozen):
     walk; the reducer's lists are stored as they come (``_of``). ``root`` is
     a view made on first read; no query walks it."""
 
-    __slots__ = ("nodes", "classes")
+    __slots__ = ("nodes",)
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -309,11 +308,9 @@ class _DecisionGraph(_Frozen):
         return self
 
     def _store(self, nodes):
-        classes = frozenset(c for f, c in nodes if f is None)
-        if len(classes) < 2:
-            raise InputError("classifier is constant; at least two classes must occur")
         _set(self, "nodes", tuple(nodes))
-        _set(self, "classes", classes)
+        if len(self.class_values()) < 2:
+            raise InputError("classifier is constant; at least two classes must occur")
 
     @functools.cached_property
     def root(self):
@@ -335,7 +332,7 @@ class _DecisionGraph(_Frozen):
         return kids
 
     def class_values(self) -> frozenset[int]:
-        return self.classes
+        return frozenset(c for f, c in self.nodes if f is None)
 
     def nonterminal_count(self) -> int:
         return sum(1 for f, _ in self.nodes if f is not None)
@@ -595,12 +592,14 @@ def _reducer(order, sizes):
     diagram with that key, ``c`` or ``(f, *kids)``; ``node`` returns the
     child when every value leads to it. So isomorphic nodes share an id and
     the edges to one child are joined. ``merge`` is ``node`` over children
-    that may start earlier in ``order`` than f. ``emit(root)`` lists the ids
-    ``root`` reaches in postorder as ``(f, kids)`` over list positions."""
+    that may start earlier in ``order`` than f, its splits kept per feature
+    while the reducer lives. ``emit(root)`` lists the ids ``root`` reaches
+    in postorder as ``(f, kids)`` over list positions."""
     rank = _rank(order, len(sizes))
     unique = {}
     rows = []  # id -> its key
     tops = []  # id -> order position of the feature it tests; len(order) for a leaf
+    splits = [{} for _ in sizes]  # f -> {children's ids: id of their merge}
 
     def leaf(c):
         out = unique.get(c)
@@ -622,24 +621,26 @@ def _reducer(order, sizes):
             tops.append(rank[f])
         return out
 
-    def merge(f, kids, memo):
+    def merge(f, kids):
         """Reduced diagram of "follow ``kids[x_f]``" over reduced children
         that do not test f. If every child starts later in the order than f,
         this is ``node``. Otherwise split on the earliest feature g that
         starts a child (Bryant's apply; Srinivasan et al., 1990, for
         many-valued features): a child's cofactor on g = x is its x-th child
         if it starts with g and the child itself if not (it cannot test g
-        below its top), and each list of cofactors is merged again. ``memo``
-        holds the splits of one stored node, keyed on its children."""
+        below its top), and each list of cofactors is merged again. The
+        result depends only on f and the children's ids: ``splits[f]`` keeps
+        it for every stored node of the fold."""
         top = min(map(tops.__getitem__, kids))
         if top > rank[f]:
             return node(f, kids)
         kids = tuple(kids)
+        memo = splits[f]
         out = memo.get(kids)
         if out is None:
             d = sizes[order[top]]
             cofactors = [rows[c][1:] if tops[c] == top else (c,) * d for c in kids]
-            out = memo[kids] = node(order[top], [merge(f, by_value, memo)
+            out = memo[kids] = node(order[top], [merge(f, by_value)
                                                  for by_value in zip(*cofactors)])
         return out
 
@@ -666,44 +667,36 @@ def _reducer(order, sizes):
 
 def to_omdd(model: Classifier, order=None) -> Omdd:
     """Reduced canonical OMDD of a classifier under a variable order (the
-    features in their own order by default), built on ``_reducer``'s ids.
+    features in their own order by default), on one ``_reducer``'s ids.
 
     A table collapses its axes one at a time, the last feature of the order
-    first: each group of entries along the axis becomes one reducer ``node``.
-    A tree or a diagram is folded children first over its node list (see
-    ``_fold``), so the cost follows the graph and the result, not the point
-    count. No table, and no ``Node`` or ``Leaf``, is made."""
+    first: each group of entries along the axis becomes one reducer ``node``
+    (faster than folding its feature-order diagram; see the README). A tree
+    or a diagram is folded children first: each stored node is ``merge``d
+    over its reduced children, so the cost follows the graph and the result,
+    not the point count. No ``Node`` or ``Leaf`` is made."""
     space = model.space
     order = tuple(order) if order is not None else tuple(range(space.m))
-    if not isinstance(model, TabularClassifier):
-        return Omdd._of(space, order, _fold(model.nodes, order, space.domain_sizes))
-    leaf, node, _, emit = _reducer(order, space.domain_sizes)
-    cells = list(map(leaf, model.values))
-    axes = list(space.domain_sizes)  # a collapsed axis keeps size 1
-    for f in reversed(order):
-        d, stride = axes[f], prod(axes[f + 1:])
-        axes[f] = 1
-        block = d * stride
-        cells = [node(f, cells[i:i + block:stride])
-                 for start in range(0, len(cells), block)
-                 for i in range(start, start + stride)]
-    return Omdd._of(space, order, emit(cells[0]))
+    leaf, node, merge, emit = _reducer(order, space.domain_sizes)
+    if isinstance(model, TabularClassifier):
+        cells = list(map(leaf, model.values))
+        axes = list(space.domain_sizes)  # a collapsed axis keeps size 1
+        for f in reversed(order):
+            d, stride = axes[f], prod(axes[f + 1:])
+            axes[f] = 1
+            block = d * stride
+            cells = [node(f, cells[i:i + block:stride])
+                     for start in range(0, len(cells), block)
+                     for i in range(start, start + stride)]
+    else:
+        cells = []  # stored position -> reduced id
+        for f, kids in model.nodes:
+            cells.append(leaf(kids) if f is None else merge(f, [cells[c] for c in kids]))
+    return Omdd._of(space, order, emit(cells[-1]))
 
 
 # One function object: the traced benchmark finds it under the old name.
 tabular_to_omdd = to_omdd
-
-
-def _fold(nodes, order, sizes):
-    """Node list of the reduced OMDD under ``order`` of the read-once graph
-    stored children first in ``nodes``: each stored node goes through the
-    reducer's ``merge`` once its children are reduced, which splits it where
-    a child starts earlier in ``order`` than the node."""
-    leaf, _, merge, emit = _reducer(order, sizes)
-    out = []
-    for f, kids in nodes:
-        out.append(leaf(kids) if f is None else merge(f, [out[c] for c in kids], {}))
-    return emit(out[-1])
 
 
 def reduce_omdd(omdd: Omdd) -> Omdd:

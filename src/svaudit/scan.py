@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import os
 import random
 from fractions import Fraction
 from typing import Optional
@@ -109,8 +110,10 @@ def scan_model(model, sample: Optional[int] = None, seed: int = 0, jobs: int = 1
     Sampling uses ``random.Random(seed).sample`` (Mersenne Twister) over
     mixed-radix point indices; asking for at least as many samples as there
     are points degenerates to the full scan. Records come back sorted by
-    instance index regardless of worker completion order. ``phi(empty)``,
-    one number per model, is computed once, before any instance.
+    instance index regardless of worker completion order. ``jobs`` > 1 fans
+    the instances out to a process pool of at most ``jobs`` workers, and no
+    more than the instances or ``os.cpu_count()``. ``phi(empty)``, one
+    number per model, is computed once, before any instance.
     """
     space = model.space
     if sample is None or sample >= space.size:
@@ -126,8 +129,9 @@ def scan_model(model, sample: Optional[int] = None, seed: int = 0, jobs: int = 1
         # imported here, so a CLI start does not pay for the pool modules
         from concurrent.futures import ProcessPoolExecutor
         # each worker receives the model and phi(empty) once, by its initializer;
-        # a pool starts all its workers at once, so it gets none beyond the instances
-        with ProcessPoolExecutor(max_workers=min(jobs, len(indices)),
+        # a pool starts all its workers at once, so it gets none beyond the
+        # instances or the CPUs (the pool's own default size)
+        with ProcessPoolExecutor(max_workers=min(jobs, len(indices), os.cpu_count() or 1),
                                  initializer=_start_worker, initargs=(scanner,)) as pool:
             records = list(pool.map(_scan_in_worker, indices, chunksize=16))
     else:

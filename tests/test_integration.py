@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -13,8 +14,9 @@ import pytest
 from oracle import random_dag, random_dt
 from svaudit.adversarial import adversarial_report, min_l0_distance, minimal_adversarial_sets
 from svaudit.cli import main
+from svaudit.errors import InputError
 from svaudit.explain import enumerate_explanations, relevancy_report
-from svaudit.families import FAMILY_IDS
+from svaudit.families import FAMILY_IDS, solve_family
 from svaudit.model_io import load_model, model_from_dict, save_model
 from svaudit.models import (
     DecisionTree,
@@ -28,6 +30,7 @@ from svaudit.models import (
     tabular_to_omdd,
     to_tabular,
 )
+from svaudit.scan import scan_model
 from svaudit.shapley import shapley_values
 
 
@@ -317,3 +320,43 @@ def test_node_repr_names_the_edge_count_not_every_path():
     assert len(text) < 1024
     assert text == "Node(feature=0, edges=1)"
     assert repr(root.edges[0][1]) == "Node(feature=1, edges=1)"
+
+
+def _csv_with_a_long_cell(tmp_path, quote):
+    path = tmp_path / "data.csv"
+    path.write_text(f"x1,y\n{quote}{'1' * 140_000}{quote},1\n0,0\n", encoding="utf-8")
+    return ["build-omdd", "--data", str(path)]
+
+
+def _k1(table):
+    return ExplanationProblem.of(table, (1, 0, 0))
+
+
+# errors only a bad argument or file reaches: each call must end in an
+# ``InputError``, each command (named ``build-omdd-...``) in exit 1
+REACHABLE_ERRORS = {
+    "cube-sum-backend": (lambda t, _: sum_kappa_over_cube(t, (), (1, 0, 0), backend="x"),
+                         "unknown backend 'x'"),
+    "shapley-backend": (lambda t, _: shapley_values(_k1(t), backend="x"), "unknown backend 'x'"),
+    "explanation-engine": (lambda t, _: enumerate_explanations(_k1(t), engine="x"),
+                           "unknown engine 'x'"),
+    "family-strategy": (lambda t, _: solve_family("a", strategy="x"), "unknown strategy 'x'"),
+    "tree-root": (lambda t, _: DecisionTree(t.space, "x"), "unexpected node object 'x'"),
+    "sample-0": (lambda t, _: scan_model(t, sample=0), "sample size must be positive"),
+    "sample-minus-1": (lambda t, _: scan_model(t, sample=-1), "sample size must be positive"),
+    "build-omdd-long-cell": (lambda _, tmp: _csv_with_a_long_cell(tmp, ""),
+                             "is not readable CSV: field larger than field limit (131072)"),
+    "build-omdd-long-quoted-cell": (lambda _, tmp: _csv_with_a_long_cell(tmp, '"'),
+                                    "is not readable CSV: field larger than field limit (131072)"),
+}
+
+
+@pytest.mark.parametrize("case", REACHABLE_ERRORS)
+def test_each_reachable_error_ends_cleanly(case, k1_table, tmp_path, capsys):
+    make, message = REACHABLE_ERRORS[case]
+    if case.startswith("build-omdd"):
+        code, out, err = run(capsys, *make(k1_table, tmp_path))
+        assert (code, out) == (1, "") and message in err and "Traceback" not in err
+    else:
+        with pytest.raises(InputError, match=re.escape(message)):
+            make(k1_table, tmp_path)

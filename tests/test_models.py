@@ -424,6 +424,18 @@ def test_model_io_round_trips(tmp_path, k1_table, k1_dt):
         assert loaded.space.feature_names == model.space.feature_names
 
 
+def test_save_model_leaves_the_file_when_the_model_cannot_be_serialized(tmp_path, k1_table):
+    path = tmp_path / "model.json"
+    save_model(k1_table, path)
+    before = path.read_bytes()
+    for model in (42, k1_table.space):
+        with pytest.raises(InputError, match="cannot serialize"):
+            model_to_json(model)
+        with pytest.raises(InputError, match="cannot serialize"):
+            save_model(model, path)
+        assert path.read_bytes() == before
+
+
 def test_models_equal_themselves_read_back_from_their_files(tmp_path):
     # an unnamed space holds the names its file gets, x1 .. xm; a loaded
     # diagram is reduced, so the diagrams drawn here are

@@ -11,6 +11,10 @@ The command line is fuzzed the same way: argument lists drawn from the
 subcommands, their flags and awkward atoms exit 0, 1 or 2, as does a fixed
 sweep over every pair of each command's flags, and a small CSV with bytes
 inserted or deleted makes ``build-omdd`` exit 0 or 1.
+
+A differential property draws small classifiers as a tree with shared
+subtrees, its table, its diagram under a shuffled order and a raw diagram,
+and checks every engine against the brute-force oracles of ``oracle.py``.
 """
 
 import contextlib
@@ -19,15 +23,28 @@ import io
 import itertools
 import json
 import os
+import random
 import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import (
+    check_mutual_mhs,
+    o_axps,
+    o_counterexample,
+    o_cxps,
+    o_min_l0_distance,
+    o_minimal_adversarial_sets,
+    o_shapley,
+    o_witness,
+    random_dag,
+    random_raw_omdd,
+)
 
-from svaudit.adversarial import adversarial_report
+from svaudit.adversarial import adversarial_report, min_l0_distance, minimal_adversarial_sets
 from svaudit.cli import main
 from svaudit.errors import SvauditError
-from svaudit.explain import relevancy_report
+from svaudit.explain import enumerate_explanations, relevancy_report
 from svaudit.families import instantiate, solve_family
 from svaudit.model_io import model_from_dict, model_to_dict, model_to_json
 from svaudit.models import (
@@ -37,8 +54,11 @@ from svaudit.models import (
     Leaf,
     Node,
     TabularClassifier,
+    find_counterexample,
     to_omdd,
+    to_tabular,
 )
+from svaudit.scan import analyze_instance
 from svaudit.shapley import shapley_values
 
 
@@ -233,3 +253,61 @@ def test_mutated_csv_files_build_or_fail_cleanly(edits):
                                       {"data.csv": bytes(data)})
     assert status in (0, 1)
     assert "Traceback" not in err
+
+
+def _walk(root):
+    """The class the ``Node`` and ``Leaf`` objects below ``root`` give a
+    point, edge by edge: the function as drawn, read from no node list."""
+    def fn(point):
+        node = root
+        while isinstance(node, Node):
+            node = next(child for values, child in node.edges if point[node.feature] in values)
+        return node.class_value
+    return fn
+
+
+def _o_issue(sv, axps):
+    """The scan's issue verdict from the definition: some irrelevant i and
+    relevant j (a feature of some AXp) with |Sv(i)| > |Sv(j)|."""
+    relevant = frozenset().union(*axps)
+    irrelevant = [abs(q) for i, q in enumerate(sv) if i not in relevant]
+    relevant = [abs(sv[i]) for i in relevant]
+    return bool(irrelevant and relevant) and max(irrelevant) > min(relevant)
+
+
+# A fixed seed keeps it deterministic; 200 seeds, 1,600 instances, take about 3 s.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_every_engine_equals_the_oracles_on_every_representation(seed):
+    rng = random.Random(seed)
+    space = FeatureSpace(tuple(rng.choice((2, 3)) for _ in range(rng.randint(1, 4))))
+    dag = random_dag(rng, space, classes=(-2, -1, 0, 2))
+    order = list(range(space.m))
+    rng.shuffle(order)
+    raw = random_raw_omdd(rng, max_features=4, domain_pool=(2, 3))
+    for model, fn in ((dag, _walk(dag.root)), (to_tabular(dag), _walk(dag.root)),
+                      (to_omdd(dag, order), _walk(dag.root)), (raw, _walk(raw.root))):
+        domains = model.space.domain_sizes
+        for _ in range(2):
+            v = tuple(rng.randrange(d) for d in domains)
+            problem = ExplanationProblem(model, v, fn(v))
+            sv = o_shapley(fn, domains, v)
+            for backend in ("auto", "enumerate", "paths"):
+                report = shapley_values(problem, backend=backend)
+                assert report.values == sv and report.residual == 0
+            axps, cxps = o_axps(fn, domains, v), o_cxps(fn, domains, v)
+            for engine in ("duality", "brute"):
+                assert enumerate_explanations(problem, engine) == (tuple(axps), tuple(cxps))
+            assert check_mutual_mhs(axps, cxps)
+            sets = o_minimal_adversarial_sets(fn, domains, v)
+            assert [(a.changed, (a.witness, a.class_value))
+                    for a in minimal_adversarial_sets(problem)] \
+                == [(A, o_witness(fn, domains, v, A)) for A in sets]
+            k, hits = min_l0_distance(problem)
+            assert (k, [(h.changed, h.witness, h.class_value) for h in hits]) \
+                == o_min_l0_distance(fn, domains, v)
+            S = frozenset(i for i in range(len(domains)) if rng.random() < 0.5)
+            target = rng.choice(sorted(model.class_values()))
+            assert find_counterexample(model, S, v, target) \
+                == o_counterexample(model, S, v, target)
+            assert analyze_instance(problem).issue == _o_issue(sv, axps)

@@ -1,6 +1,7 @@
 """Issue detection, corpus scans, dataset ingestion, diagram building."""
 
 import csv
+import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -159,7 +160,8 @@ def test_scan_with_worker_pool(k1_table):
 def pool_log(monkeypatch):
     """A stand-in pool that logs its size and maps serially, so a test of the
     pool starts no process (a real one forks all its workers at the first
-    submit); returns the log."""
+    submit); returns the log. ``os.cpu_count()`` reads 64, so the sizes do
+    not depend on the machine."""
     import concurrent.futures
 
     from svaudit import scan
@@ -182,6 +184,7 @@ def pool_log(monkeypatch):
 
     monkeypatch.setattr(scan, "_worker_scanner", None)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     return log
 
 
@@ -190,6 +193,15 @@ def test_scan_pool_starts_no_more_workers_than_instances(pool_log, k1_table):
         assert scan_model(k1_table, sample=sample, seed=3, jobs=jobs) == \
             scan_model(k1_table, sample=sample, seed=3)
         assert pool_log.pop() == workers
+
+
+def test_scan_pool_starts_no_more_workers_than_cpus(monkeypatch, pool_log, k1_table):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert scan_model(k1_table, jobs=16) == scan_model(k1_table)
+    assert pool_log == [2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker
+    assert scan_model(k1_table, jobs=16) == scan_model(k1_table)
+    assert pool_log == [2, 1]
 
 
 def test_scan_computes_phi_empty_once_before_any_instance_or_worker(monkeypatch, pool_log,
